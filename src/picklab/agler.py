@@ -79,9 +79,7 @@ class AglerProblem:
 
 def scalar_problem(points, values) -> AglerProblem:
     """Scalar polydisk points lam^(i) with target values f_i."""
-    pts = np.asarray(points, dtype=np.complex128)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
+    pts = matcore.as_point_rows(points)
     vals = np.asarray(values, dtype=np.complex128).reshape(-1)
     if pts.shape[0] != vals.size:
         raise DimensionError("need one value per point")

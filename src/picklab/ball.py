@@ -2,11 +2,12 @@
 
 Free words over d letters index the noncommutative Toeplitz algebra; points
 are operator d-tuples whose block row is a strict contraction.  Pick blocks
-are geometric word sums computed by the level recursion
-M_{n+1} = sum_k Z_k^(i) M_n Z_k^(j)* with certified geometric tails.  The
-commutative (Drury-Arveson) criteria reuse the word sum, which equals the
-multinomial-weighted multi-index sum; the literal unweighted multi-index sum
-is available behind a flag for comparison.
+are geometric word sums, computed for all blocks at once by the level
+recursion M_{n+1} = sum_k L_k M_n L_k* with L_k = blockdiag_i Z_k^(i) and
+certified geometric tails.  The commutative (Drury-Arveson) criteria reuse
+the word sum, which equals the multinomial-weighted multi-index sum; the
+literal unweighted multi-index sum is available behind a flag for
+comparison.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from . import config, matcore
 from .matcore import plan_levels
 from .errors import ArgumentError, BudgetError, DimensionError, DomainError
 from .matcore import as_complex_matrix
-from .reports import FeasibilityReport, make_report
+from .reports import FeasibilityReport, make_report, series_report
 
 Word = Tuple[int, ...]
 
@@ -120,49 +121,47 @@ def _check_strict_row(tuples) -> List[OperatorTuple]:
     return out
 
 
-def _word_sum_block(Zi: OperatorTuple, Zj: OperatorTuple, M0: np.ndarray,
-                    levels: int) -> np.ndarray:
-    """sum over words up to the given level of Z_i^g M0 Z_j^g* (recursion)."""
-    acc = M0.astype(np.complex128, copy=True)
-    cur = M0.astype(np.complex128, copy=True)
-    for _ in range(levels):
-        cur = sum(Zi.mats[k] @ cur @ Zj.mats[k].conj().T for k in range(Zi.d))
-        acc += cur
-    return acc
-
-
-def pick_nc_ltoa(operator_points, directions, targets, tol="auto",
-                 series_tol=1e-12, budget: Optional[int] = None) -> FeasibilityReport:
-    """Pick matrix [sum_g Z_i^g (X_i X_j* - Y_i Y_j*) Z_j^g*] over free words."""
-    budget = config.work_budget() if budget is None else budget
-    Zs = _check_strict_row(operator_points)
+def _stacked_word_data(Zs, directions, targets):
+    """Stacked letters L_k = blockdiag_i Z_k^(i), middle Xs Xs* - Ys Ys*, and
+    the (ratio, starting norm) pair of each (i, j) block, row-major."""
     X = [as_complex_matrix(M) for M in directions]
     Y = [as_complex_matrix(M) for M in targets]
     N = len(Zs)
     if not (len(X) == len(Y) == N):
         raise DimensionError("need one direction and one target per point")
+    d = Zs[0].d
     for i in range(N):
+        if Zs[i].d != d:
+            raise DimensionError("all tuples must have the same number of entries")
         if X[i].shape[0] != Zs[i].dim or Y[i].shape[0] != Zs[i].dim:
             raise DimensionError(
                 f"condition {i}: directions/targets must map into the tuple space")
-    middles = [[X[i] @ X[j].conj().T - Y[i] @ Y[j].conj().T for j in range(N)]
-               for i in range(N)]
+    Xs = matcore.stack_rows(X, "direction")
+    Ys = matcore.stack_rows(Y, "target")
     entries = [(Zs[i].row_norm * Zs[j].row_norm,
-                matcore.operator_norm(middles[i][j]))
+                matcore.operator_norm(X[i] @ X[j].conj().T - Y[i] @ Y[j].conj().T))
                for i in range(N) for j in range(N)]
-    levels, tail_list = plan_levels(entries, Zs[0].d, series_tol, budget)
-    blocks = [[_word_sum_block(Zs[i], Zs[j], middles[i][j], levels[i * N + j])
-               for j in range(N)] for i in range(N)]
-    tails = np.array(tail_list).reshape(N, N)
-    pick = np.block(blocks)
-    method = "closed_form" if tails.max() == 0 else "truncated_series"
-    return make_report(pick, method, float(np.linalg.norm(tails, 2)), tol)
+    Ls = [matcore.block_diag([Z.mats[k] for Z in Zs]) for k in range(d)]
+    return Ls, Xs @ Xs.conj().T - Ys @ Ys.conj().T, entries
+
+
+def pick_nc_ltoa(operator_points, directions, targets, tol="auto",
+                 series_tol=1e-12, budget: Optional[int] = None) -> FeasibilityReport:
+    """Pick matrix [sum_g Z_i^g (X_i X_j* - Y_i Y_j*) Z_j^g*] over free words.
+
+    One level recursion on the stacked matrix, run to the largest level
+    planned over the (i, j) blocks.
+    """
+    budget = config.work_budget() if budget is None else budget
+    Zs = _check_strict_row(operator_points)
+    Ls, M, entries = _stacked_word_data(Zs, directions, targets)
+    levels, tails = plan_levels(entries, len(Ls), series_tol, budget)
+    pick = matcore.level_sum(Ls, M, max(levels))
+    return series_report(pick, np.reshape(tails, (len(Zs), len(Zs))), tol)
 
 
 def _check_ball_points(points) -> np.ndarray:
-    pts = np.asarray(points, dtype=np.complex128)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
+    pts = matcore.as_point_rows(points)
     norms2 = np.sum(np.abs(pts) ** 2, axis=1)
     if np.any(norms2 >= 1.0):
         raise DomainError(
@@ -195,10 +194,15 @@ def pick_da_lt(points, directions, targets, tol="auto") -> FeasibilityReport:
     N = pts.shape[0]
     if not (len(X) == len(Y) == N):
         raise DimensionError("need one direction and one target per point")
-    blocks = [[(X[i] @ X[j].conj().T - Y[i] @ Y[j].conj().T)
-               / (1.0 - np.vdot(pts[j], pts[i]))
-               for j in range(N)] for i in range(N)]
-    return make_report(np.block(blocks), "closed_form", 0.0, tol)
+    Xs = matcore.stack_rows(X, "direction")
+    Ys = matcore.stack_rows(Y, "target")
+    rows = [M.shape[0] for M in X]
+    if rows != [M.shape[0] for M in Y]:
+        raise DimensionError("each direction and its target must share the output space")
+    cond = np.repeat(np.arange(N), rows)
+    kernel = (1.0 - pts @ pts.conj().T)[np.ix_(cond, cond)]
+    return make_report((Xs @ Xs.conj().T - Ys @ Ys.conj().T) / kernel,
+                       "closed_form", 0.0, tol)
 
 
 def pick_da_ltoa(operator_points, directions, targets, tol="auto",
@@ -221,40 +225,43 @@ def pick_da_ltoa(operator_points, directions, targets, tol="auto",
                 f"tuple {k} is not commutative (commutator norm {defect:.3g})")
     if not literal_unweighted:
         return pick_nc_ltoa(Zs, directions, targets, tol, series_tol, budget)
-    X = [as_complex_matrix(M) for M in directions]
-    Y = [as_complex_matrix(M) for M in targets]
-    N = len(Zs)
-    blocks = [[None] * N for _ in range(N)]
-    tails = np.zeros((N, N))
-    for i in range(N):
-        for j in range(N):
-            M0 = X[i] @ X[j].conj().T - Y[i] @ Y[j].conj().T
-            blocks[i][j], tails[i, j] = _unweighted_multi_index_sum(
-                Zs[i], Zs[j], M0, series_tol, budget)
-    pick = np.block(blocks)
-    method = "closed_form" if tails.max() == 0 else "truncated_series"
-    return make_report(pick, method, float(np.linalg.norm(tails, 2)), tol)
+    Ls, M, entries = _stacked_word_data(Zs, directions, targets)
+    plan = [_unweighted_level(r, norm0, len(Ls), series_tol, budget)
+            for r, norm0 in entries]
+    pick = _unweighted_multi_index_sum(Ls, M, max(m for m, _ in plan))
+    return series_report(pick, np.reshape([t for _, t in plan], (len(Zs), len(Zs))),
+                         tol)
 
 
-def _unweighted_multi_index_sum(Zi, Zj, M0, series_tol, budget):
-    """sum over n in Z_+^d (coefficient 1) of Z_i^n M0 Z_j^n*."""
-    d = Zi.d
-    norm0 = matcore.operator_norm(M0)
+def _unweighted_level(r, norm0, d, series_tol, budget):
+    """Stopping level and tail of one block of the unweighted multi-index sum.
+
+    BudgetError once the multi-indices the block needs exceed the budget.
+    """
     if norm0 == 0.0:
-        return np.zeros_like(M0), 0.0
-    r = Zi.row_norm * Zj.row_norm
-    acc = M0.astype(np.complex128, copy=True)
-    level = {(0,) * d: M0.astype(np.complex128, copy=True)}
+        return 0, 0.0
     m = 0
     work = 0
     while True:
         # tail bound: sum_{m' > m} C(m'+d-1, d-1) r^m' norm0, via ratio test
+        head = math.comb(m + d, d - 1) * r ** (m + 1) * norm0
         q = r * (m + d) / (m + 1)
-        if q < 1.0:
-            head = math.comb(m + d, d - 1) * r ** (m + 1) * norm0
-            tail = head / (1.0 - q)
-            if tail <= series_tol:
-                return acc, tail
+        if q < 1.0 and head / (1.0 - q) <= series_tol:
+            return m, head / (1.0 - q)
+        work += math.comb(m + d, d - 1)  # multi-indices of size m + 1
+        if work > budget:
+            raise BudgetError(
+                "unweighted multi-index sum exceeded the work budget",
+                achieved_bound=head)
+        m += 1
+
+
+def _unweighted_multi_index_sum(Ls, M, levels):
+    """sum over n in Z_+^d, |n| <= levels (coefficient 1) of L^n M L^n*."""
+    d = len(Ls)
+    acc = M.copy()
+    level = {(0,) * d: M}
+    for m in range(levels):
         nxt = {}
         for n in itertools.combinations_with_replacement(range(d), m + 1):
             counts = [0] * d
@@ -263,16 +270,10 @@ def _unweighted_multi_index_sum(Zi, Zj, M0, series_tol, budget):
             idx = tuple(counts)
             k = next(p for p, c in enumerate(counts) if c > 0)
             prev = tuple(c - (1 if p == k else 0) for p, c in enumerate(counts))
-            P = Zi.mats[k] @ level[prev] @ Zj.mats[k].conj().T
-            nxt[idx] = P
-            acc += P
-            work += 1
-            if work > budget:
-                raise BudgetError(
-                    "unweighted multi-index sum exceeded the work budget",
-                    achieved_bound=math.comb(m + d, d - 1) * r ** (m + 1) * norm0)
+            nxt[idx] = Ls[k] @ level[prev] @ Ls[k].conj().T
+            acc += nxt[idx]
         level = nxt
-        m += 1
+    return acc
 
 
 def pick_nc_frd(operator_points, values, basis_dim: Optional[int] = None,

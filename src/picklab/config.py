@@ -6,6 +6,8 @@ per dataset.  The PICKLAB_BUDGET environment variable overrides the default.
 
 import os
 
+from .errors import ArgumentError
+
 DEFAULT_BUDGET = 10**7
 
 
@@ -13,7 +15,11 @@ def work_budget() -> int:
     raw = os.environ.get("PICKLAB_BUDGET")
     if raw is None:
         return DEFAULT_BUDGET
-    value = int(raw)
+    message = f"PICKLAB_BUDGET must be a positive integer, got {raw!r}"
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ArgumentError(message) from None
     if value <= 0:
-        raise ValueError("PICKLAB_BUDGET must be positive")
+        raise ArgumentError(message)
     return value

@@ -197,9 +197,9 @@ def build_phi_disk(operator_points, directions, targets) -> LinearMapOnMatrices:
 
     phi([B_ij]) = [sum_n X_i (I kron Z_i^n B_ij Z_j*^n) X_j*
                    - Y_i (I kron Z_i^n B_ij Z_j*^n) Y_j*], with the inner
-    geometric sums computed exactly per unit by the Stein solver.  Its Choi
-    matrix collapses to the standard tangential Pick matrix when the tensor
-    factor is trivial.
+    geometric sums for all units computed exactly by one stacked Stein
+    solve.  Its Choi matrix collapses to the standard tangential Pick matrix
+    when the tensor factor is trivial.
     """
     Z = [as_complex_matrix(M) for M in operator_points]
     X = [as_complex_matrix(M) for M in directions]
@@ -220,22 +220,18 @@ def build_phi_disk(operator_points, directions, targets) -> LinearMapOnMatrices:
     for M in X + Y:
         if M.shape != (e, e):
             raise DimensionError("directions/targets must be square of V kron Z size")
-    n_in = N * g
-    m_out = N * e
-    images = np.zeros((n_in, n_in, m_out, m_out), dtype=np.complex128)
-    eye_v = np.eye(v, dtype=np.complex128)
-    for i in range(N):
-        for j in range(N):
-            for a in range(g):
-                for b in range(g):
-                    unit = np.zeros((g, g), dtype=np.complex128)
-                    unit[a, b] = 1.0
-                    S = matcore.solve_stein(Z[i], unit, Z[j])
-                    mid = np.kron(eye_v, S)
-                    img = X[i] @ mid @ X[j].conj().T - Y[i] @ mid @ Y[j].conj().T
-                    images[i * g + a, j * g + b,
-                           i * e:(i + 1) * e, j * e:(j + 1) * e] = img
-    return LinearMapOnMatrices(n_in, m_out, images)
+    # conditions (i, a): point Z_i with the unit vector e_a, so block
+    # ((i, a), (j, b)) of the stacked solve is sum_n Z_i^n e_ab Z_j*^n
+    units = np.tile(np.eye(g, dtype=np.complex128), (N, 1)).reshape(-1, 1)
+    Tb = matcore.block_diag([Zi for Zi in Z for _ in range(g)])
+    S = matcore.solve_stein(Tb, units @ units.T, Tb)
+    out = 0
+    for k in range(v):
+        for F, sign in ((X, 1.0), (Y, -1.0)):
+            R = matcore.block_diag([Fi[:, k * g:(k + 1) * g] for Fi in F
+                                    for _ in range(g)])
+            out = out + sign * (R @ S @ R.conj().T)
+    return _condition_blockwise_map(out, N, g, e)
 
 
 def build_phi_star_disk(operator_points, directions, targets) -> LinearMapOnMatrices:
@@ -261,29 +257,22 @@ def build_phi_star_disk(operator_points, directions, targets) -> LinearMapOnMatr
     for M in X + Y:
         if M.shape != (c, z):
             raise DimensionError("directions/targets must map the Z space to C")
-    n_in = N * c
-    m_out = N * z
-    images = np.zeros((n_in, n_in, m_out, m_out), dtype=np.complex128)
-    for i in range(N):
-        for j in range(N):
-            for a in range(c):
-                for b in range(c):
-                    unit = np.zeros((c, c), dtype=np.complex128)
-                    unit[a, b] = 1.0
-                    M0 = (X[i].conj().T @ unit @ X[j]
-                          - Y[i].conj().T @ unit @ Y[j])
-                    S = matcore.solve_stein(Z[i].conj().T, M0, Z[j].conj().T)
-                    images[i * c + a, j * c + b,
-                           i * z:(i + 1) * z, j * z:(j + 1) * z] = S
-    return LinearMapOnMatrices(n_in, m_out, images)
+    # conditions (i, a): block ((i, a), (j, b)) of the stacked middle is
+    # X_i* e_ab X_j - Y_i* e_ab Y_j
+    x = np.concatenate([M.conj().ravel() for M in X]).reshape(-1, 1)
+    y = np.concatenate([M.conj().ravel() for M in Y]).reshape(-1, 1)
+    Tb = matcore.block_diag([Zi.conj().T for Zi in Z for _ in range(c)])
+    S = matcore.solve_stein(Tb, x @ x.conj().T - y @ y.conj().T, Tb)
+    return _condition_blockwise_map(S, N, c, z)
 
 
-def _szego_levels(r: float, series_tol: float) -> int:
-    """Truncation level with geometric tail below series_tol for unit inputs."""
-    if r <= 0.0:
-        return 0
-    import math
-    return max(0, int(math.ceil(math.log(series_tol * (1.0 - r)) / math.log(r))))
+def _condition_blockwise_map(stacked, N: int, n: int, m: int) -> LinearMapOnMatrices:
+    """Map whose unit e_(i,a),(j,b) goes to block (i, j), holding the
+    ((i, a), (j, b)) m-block of the stacked matrix; zero elsewhere."""
+    blocks = stacked.reshape(N, n, m, N, n, m)
+    eye = np.eye(N)
+    images = np.einsum("iaxjby,ik,jl->iajbkxly", blocks, eye, eye)
+    return LinearMapOnMatrices(N * n, N * m, images.reshape(N * n, N * n, N * m, N * m))
 
 
 def build_phi_bar_quiver(G: Quiver, zdims: Grading, vdims: Grading,
@@ -314,43 +303,19 @@ def build_phi_bar_quiver(G: Quiver, zdims: Grading, vdims: Grading,
             raise DimensionError(
                 f"directions/targets must act on dimension {edim}")
     c = X[0].shape[0]
-    eoff = {}
-    pos = 0
-    for v in G.vertices:
-        eoff[v] = pos
-        pos += vdims[v] * zdims[v]
     gdim = zdims.total
-    n_in = N * gdim
-    m_out = N * c
-    images = np.zeros((n_in, n_in, m_out, m_out), dtype=np.complex128)
-    vertex_of = {}
-    local_of = {}
+    rmax = max(row_norms)
+    levels = matcore.required_levels(rmax * rmax, 1.0, series_tol)
+    # the Szego kernel only reads diagonal blocks: cross-vertex units map to 0
+    out = np.zeros((N, gdim, c, N, gdim, c), dtype=np.complex128)
     for v in G.vertices:
-        for t in range(zdims[v]):
-            vertex_of[zdims.offsets[v] + t] = v
-            local_of[zdims.offsets[v] + t] = t
-    for i in range(N):
-        for j in range(N):
-            levels = _szego_levels(row_norms[i] * row_norms[j], series_tol)
-            for a in range(gdim):
-                for b in range(gdim):
-                    if vertex_of[a] != vertex_of[b]:
-                        continue  # the Szego kernel only reads diagonal blocks
-                    v = vertex_of[a]
-                    sums = quiver_mod._qltt_path_sum(
-                        G, zdims, points[i], points[j], v,
-                        local_of[a], local_of[b], levels)
-                    mid = np.zeros((edim, edim), dtype=np.complex128)
-                    for w in G.vertices:
-                        if vdims[w] == 0 or zdims[w] == 0:
-                            continue
-                        blk = np.kron(np.eye(vdims[w]), sums[w])
-                        s = slice(eoff[w], eoff[w] + vdims[w] * zdims[w])
-                        mid[s, s] = blk
-                    img = X[i] @ mid @ X[j].conj().T - Y[i] @ mid @ Y[j].conj().T
-                    images[i * gdim + a, j * gdim + b,
-                           i * c:(i + 1) * c, j * c:(j + 1) * c] = img
-    return LinearMapOnMatrices(n_in, m_out, images)
+        kv = zdims[v]
+        if kv == 0:
+            continue
+        Pv = quiver_mod.qltt_vertex_matrix(G, zdims, vdims, points, X, Y, v, levels)
+        s = zdims.block_slice(v)
+        out[:, s, :, :, s, :] = Pv.reshape(N, kv, c, N, kv, c)
+    return _condition_blockwise_map(out.reshape(N * gdim * c, -1), N, gdim, c)
 
 
 def blockwise_conditional_expectation(block_dims: Sequence[int],

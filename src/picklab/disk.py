@@ -1,10 +1,10 @@
 """Single-variable Pick-matrix criteria on the unit disk.
 
 Covers the full operator-valued problem, left/right tangential variants,
-operator-argument variants (geometric series summed exactly by the Stein
-solver), the three functional-calculus variants with a finite basis
-expansion, and the right-half-plane Lyapunov criterion for the Nevanlinna
-class.  Each criterion returns a FeasibilityReport whose Pick matrix is
+operator-argument variants (geometric series summed exactly by one Stein
+solve on the condition-stacked data), the three functional-calculus variants
+with a finite basis expansion, and the right-half-plane Lyapunov criterion
+for the Nevanlinna class.  Each criterion returns a FeasibilityReport whose Pick matrix is
 positive semidefinite exactly when the interpolation problem is solvable.
 """
 
@@ -47,13 +47,6 @@ def _common_shape(ops, name) -> list[np.ndarray]:
     return mats
 
 
-def _assemble(blocks, row_sizes, col_sizes=None) -> np.ndarray:
-    if col_sizes is None:
-        col_sizes = row_sizes
-    return np.block([[blocks[i][j] for j in range(len(col_sizes))]
-                     for i in range(len(row_sizes))])
-
-
 def pick_fov(points, values, tol="auto") -> FeasibilityReport:
     """Pick matrix [(I - W_i W_j*) / (1 - lam_i conj(lam_j))]."""
     lams = _check_disk_points(points)
@@ -65,7 +58,7 @@ def pick_fov(points, values, tol="auto") -> FeasibilityReport:
     N = lams.size
     blocks = [[(eye - W[i] @ W[j].conj().T) / (1.0 - lams[i] * np.conj(lams[j]))
                for j in range(N)] for i in range(N)]
-    return make_report(_assemble(blocks, [p] * N), "closed_form", 0.0, tol)
+    return make_report(np.block(blocks), "closed_form", 0.0, tol)
 
 
 def pick_lt(points, directions, targets, tol="auto") -> FeasibilityReport:
@@ -78,11 +71,10 @@ def pick_lt(points, directions, targets, tol="auto") -> FeasibilityReport:
         raise DimensionError("need one direction and one target per point")
     if X[0].shape[0] != Y[0].shape[0]:
         raise DimensionError("directions and targets must share the output space")
-    c = X[0].shape[0]
     blocks = [[(X[i] @ X[j].conj().T - Y[i] @ Y[j].conj().T)
                / (1.0 - lams[i] * np.conj(lams[j]))
                for j in range(N)] for i in range(N)]
-    return make_report(_assemble(blocks, [c] * N), "closed_form", 0.0, tol)
+    return make_report(np.block(blocks), "closed_form", 0.0, tol)
 
 
 def pick_rt(points, directions, targets, tol="auto") -> FeasibilityReport:
@@ -95,32 +87,23 @@ def pick_rt(points, directions, targets, tol="auto") -> FeasibilityReport:
         raise DimensionError("need one direction and one target per point")
     if U[0].shape[1] != V[0].shape[1]:
         raise DimensionError("directions and targets must share the input space")
-    c = U[0].shape[1]
     blocks = [[(U[i].conj().T @ U[j] - V[i].conj().T @ V[j])
                / (1.0 - np.conj(lams[i]) * lams[j])
                for j in range(N)] for i in range(N)]
-    return make_report(_assemble(blocks, [c] * N), "closed_form", 0.0, tol)
+    return make_report(np.block(blocks), "closed_form", 0.0, tol)
 
 
-def _stein_blocks(left_args, right_args, middles, tol) -> FeasibilityReport:
-    """Assemble [sum_n L_i^n M_ij R_j*^n]_{ij} via per-block Stein solves."""
-    N = len(left_args)
-    blocks = [[None] * N for _ in range(N)]
-    methods = set()
-    tails = np.zeros((N, N))
-    for i in range(N):
-        for j in range(N):
-            P, method, tail = matcore.solve_stein_report(
-                left_args[i], middles[i][j], right_args[j])
-            blocks[i][j] = P
-            methods.add(method)
-            tails[i, j] = tail
-    sizes = [middles[i][0].shape[0] for i in range(N)]
-    col_sizes = [middles[0][j].shape[1] for j in range(N)]
-    pick = _assemble(blocks, sizes, col_sizes)
-    method = "truncated_series" if "truncated_series" in methods else "stein_solve"
-    tail_bound = float(np.linalg.norm(tails, 2))
-    return make_report(pick, method, tail_bound, tol)
+def _stacked_ltoa(T, X, Y, tol) -> FeasibilityReport:
+    """[sum_n T_i^n (X_i X_j* - Y_i Y_j*) T_j*^n] as one stacked Stein solve.
+
+    With Tb = blockdiag(T_i) and Xs = vstack(X_i), the Pick matrix is the
+    solution of P - Tb P Tb* = Xs Xs* - Ys Ys*.
+    """
+    Xs = matcore.stack_rows(X, "direction")
+    Ys = matcore.stack_rows(Y, "target")
+    Tb = matcore.block_diag(T)
+    pick = matcore.solve_stein(Tb, Xs @ Xs.conj().T - Ys @ Ys.conj().T, Tb)
+    return make_report(pick, "stein_solve", 0.0, tol)
 
 
 def pick_ltoa(operator_points, directions, targets, tol="auto") -> FeasibilityReport:
@@ -135,13 +118,14 @@ def pick_ltoa(operator_points, directions, targets, tol="auto") -> FeasibilityRe
         if X[i].shape[0] != T[i].shape[0] or Y[i].shape[0] != T[i].shape[0]:
             raise DimensionError(
                 f"condition {i}: directions/targets must map into the space of T_{i}")
-    middles = [[X[i] @ X[j].conj().T - Y[i] @ Y[j].conj().T for j in range(N)]
-               for i in range(N)]
-    return _stein_blocks(T, T, middles, tol)
+    return _stacked_ltoa(T, X, Y, tol)
 
 
 def pick_rtoa(operator_points, directions, targets, tol="auto") -> FeasibilityReport:
-    """Pick matrix [sum_n A_i*^n (U_i* U_j - V_i* V_j) A_j^n]."""
+    """Pick matrix [sum_n A_i*^n (U_i* U_j - V_i* V_j) A_j^n].
+
+    The same stacked solve as LTOA on the adjoint data (A_i*, U_i*, V_i*).
+    """
     A = _check_strict_ops(operator_points)
     U = [as_complex_matrix(M) for M in directions]
     V = [as_complex_matrix(M) for M in targets]
@@ -152,10 +136,8 @@ def pick_rtoa(operator_points, directions, targets, tol="auto") -> FeasibilityRe
         if U[i].shape[1] != A[i].shape[0] or V[i].shape[1] != A[i].shape[0]:
             raise DimensionError(
                 f"condition {i}: directions/targets must act on the space of A_{i}")
-    middles = [[U[i].conj().T @ U[j] - V[i].conj().T @ V[j] for j in range(N)]
-               for i in range(N)]
-    lefts = [M.conj().T for M in A]
-    return _stein_blocks(lefts, lefts, middles, tol)
+    return _stacked_ltoa([M.conj().T for M in A], [M.conj().T for M in U],
+                         [M.conj().T for M in V], tol)
 
 
 @dataclass(frozen=True)
@@ -256,8 +238,9 @@ def nevanlinna_rd_check(operator_point, value, basis_dim=None, tol="auto"):
     """Right-half-plane criterion for f(Z) = W with f in the Nevanlinna class.
 
     Each block P_(i'j') is the unique solution of the Lyapunov equation
-    P Z* + Z P = e_i' e_j'* W* + W e_i' e_j'*; the assembled kappa x kappa
-    block matrix is PSD exactly when an interpolant exists.
+    P Z* + Z P = e_i' e_j'* W* + W e_i' e_j'*, all kappa^2 of them solved
+    with one factorisation; the assembled kappa x kappa block matrix is PSD
+    exactly when an interpolant exists.
     """
     Z = as_complex_matrix(operator_point)
     W = as_complex_matrix(value)
@@ -272,11 +255,11 @@ def nevanlinna_rd_check(operator_point, value, basis_dim=None, tol="auto"):
             f"spectrum must lie in the open right half-plane, got eigenvalue "
             f"{eigs[np.argmin(eigs.real)]:.6g}")
     cols = _basis_columns(kappa)
+    units = [e @ f.conj().T for e in cols for f in cols]
     Wh = W.conj().T
-    blocks = [[matcore.solve_lyapunov_rhp(
-        Z, cols[i] @ cols[j].conj().T @ Wh + W @ cols[i] @ cols[j].conj().T)
-        for j in range(kappa)] for i in range(kappa)]
-    pick = _assemble(blocks, [Z.shape[0]] * kappa)
+    P = matcore.solve_lyapunov_rhp(Z, np.array([E @ Wh + W @ E for E in units]))
+    n = kappa * Z.shape[0]
+    pick = P.reshape(kappa, kappa, Z.shape[0], -1).transpose(0, 2, 1, 3).reshape(n, n)
     return make_report(pick, "closed_form", 0.0, tol)
 
 

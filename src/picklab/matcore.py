@@ -1,9 +1,15 @@
 """Dense complex linear algebra kernels.
 
-Hermitian eigenvalues and PSD verdicts, operator norms, and the Stein /
-Lyapunov solvers that sum the geometric operator series behind every
-operator-argument Pick matrix.  All functions are pure; matrices are numpy
-complex arrays, and Hermitian outputs are always symmetrized explicitly.
+Hermitian eigenvalues and PSD verdicts, operator norms, the Lyapunov solver,
+and the fixed-point kernel behind every operator-argument Pick matrix:
+P = M + sum_a L_a P L_a* on the whole condition-stacked matrix, with L_a
+block diagonal over the conditions.  One arrow is a Stein equation, solved
+by Smith doubling (:func:`solve_stein`); several arrows are summed by the
+level recursion (:func:`level_sum`), truncated at levels planned with
+certified geometric tails (:func:`plan_levels`).  :func:`stein_series` and
+:func:`stein_tail_bound` are independent oracles for tests.  All functions
+are pure; matrices are numpy complex arrays, and Hermitian outputs are
+always symmetrized explicitly.
 """
 
 from __future__ import annotations
@@ -21,10 +27,6 @@ from .errors import (
     NumericError,
     RegularityError,
 )
-
-# Largest vec-dimension for which the Stein equation is solved by dense
-# Kronecker vectorization; larger problems fall back to certified series.
-STEIN_VEC_CAP = 4096
 
 _EPS = np.finfo(np.float64).eps
 
@@ -125,9 +127,8 @@ def stein_tail_bound(A, Q, B, terms: int) -> float:
     r = spectral_radius(as_complex_matrix(A)) * spectral_radius(as_complex_matrix(B))
     if r >= 1.0:
         raise DivergenceError(f"spectral-radius product {r:.6g} >= 1")
-    # ||A^n Q B*^n|| <= C r^n eventually; at desk scale the crude bound with
-    # operator norms is adequate since the solvers only use it when the
-    # vec-dimension cap forces series summation.
+    # ||A^n Q B*^n|| <= C r^n eventually; the crude bound with operator norms
+    # is adequate for a test oracle on small matrices.
     na = operator_norm(A)
     nb = operator_norm(B)
     s = na * nb
@@ -143,18 +144,16 @@ def stein_tail_bound(A, Q, B, terms: int) -> float:
 
 
 def solve_stein(A, Q, B):
-    """Solve P - A P B* = Q, i.e. P = sum_n A^n Q B*^n.
+    """Solve P - A P B* = Q, i.e. P = sum_n A^n Q B*^n, by Smith doubling.
 
-    Requires spectral_radius(A) * spectral_radius(B) < 1.  Solved by dense
-    Kronecker vectorization up to vec-size ``STEIN_VEC_CAP``; beyond that by
-    truncated series with a certified geometric tail below 1e-14 * ||Q||.
+    After k doublings P holds the first 2^k terms; the loop stops once
+    ||A^(2^k)||_F ||B^(2^k)||_F <= eps, where the dropped tail is below
+    rounding relative to P.  A and B are rebalanced by a power of two at
+    every step (exact, and the product A_k P B_k* is unchanged), so inputs
+    with spectral_radius(A) > 1 > spectral_radius(A) * spectral_radius(B)
+    converge too.  DivergenceError when the norms stop being finite or 64
+    doublings do not converge.
     """
-    P, _method, _tail = solve_stein_report(A, Q, B)
-    return P
-
-
-def solve_stein_report(A, Q, B):
-    """Like :func:`solve_stein` but also reports (method, tail_bound)."""
     A = _require_square(as_complex_matrix(A), "A")
     B = _require_square(as_complex_matrix(B), "B")
     Q = as_complex_matrix(Q)
@@ -162,33 +161,77 @@ def solve_stein_report(A, Q, B):
         raise DimensionError(
             f"Q shape {Q.shape} does not conform to A {A.shape}, B {B.shape}"
         )
-    ra = spectral_radius(A)
-    rb = spectral_radius(B)
-    r = ra * rb
-    if r >= 1.0:
-        raise DivergenceError(
-            f"spectral-radius product {r:.6g} >= 1; the Stein series diverges"
-        )
-    vec_size = Q.size
-    if vec_size <= STEIN_VEC_CAP:
-        # Row-major vec: vec(A P B*) = (A kron conj(B)) vec(P).
-        n = vec_size
-        K = np.eye(n, dtype=np.complex128) - np.kron(A, B.conj())
-        try:
-            vecP = np.linalg.solve(K, Q.reshape(-1))
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"Stein system singular to working precision: {exc}")
-        return vecP.reshape(Q.shape), "stein_solve", 0.0
-    # Series fallback: pick L so the geometric tail is negligible.
-    qnorm = operator_norm(Q)
-    if qnorm == 0.0:
-        return np.zeros_like(Q), "truncated_series", 0.0
-    target = 1e-14
-    s = max(min(operator_norm(A) * operator_norm(B), 1.0 - 1e-9), r)
-    L = int(np.ceil(np.log(target * (1.0 - s)) / np.log(s))) if s > 0 else 0
-    L = max(L, 8)
-    P = stein_series(A, Q, B, L)
-    return P, "truncated_series", stein_tail_bound(A, Q, B, L)
+    P = Q.copy()
+    for _ in range(64):
+        na = np.linalg.norm(A)
+        nb = np.linalg.norm(B)
+        if not math.isfinite(na * nb):
+            break
+        if na * nb <= _EPS:
+            return P
+        s = 2.0 ** round(0.5 * math.log2(na / nb))
+        A = A / s
+        B = B * s
+        P += A @ P @ B.conj().T
+        A = A @ A
+        B = B @ B
+    raise DivergenceError(
+        "Stein doubling did not converge; spectral_radius(A) * "
+        "spectral_radius(B) must be < 1")
+
+
+def level_sum(Ls, M, levels: int) -> np.ndarray:
+    """sum_{n=0}^{levels} Phi^n(M) for the completely positive map
+    Phi(P) = sum_a L_a P L_a*.
+
+    The truncated fixed point P = M + Phi(P) of every several-arrow Pick
+    criterion: each L_a is block diagonal over the conditions (and, for
+    quivers, placed by vertex), so one recursion on the whole stacked
+    matrix replaces one per pair of conditions.
+    """
+    cur = as_complex_matrix(M)
+    acc = cur.copy()
+    for _ in range(levels):
+        cur = sum(L @ cur @ L.conj().T for L in Ls)
+        acc += cur
+    return acc
+
+
+def block_diag(mats) -> np.ndarray:
+    """Block-diagonal matrix with the given (possibly rectangular) blocks."""
+    mats = [as_complex_matrix(M) for M in mats]
+    out = np.zeros((sum(M.shape[0] for M in mats), sum(M.shape[1] for M in mats)),
+                   dtype=np.complex128)
+    r = c = 0
+    for M in mats:
+        out[r:r + M.shape[0], c:c + M.shape[1]] = M
+        r += M.shape[0]
+        c += M.shape[1]
+    return out
+
+
+def stack_rows(mats, what: str) -> np.ndarray:
+    """vstack of the per-condition matrices, which must share one width."""
+    mats = [as_complex_matrix(M) for M in mats]
+    widths = sorted({M.shape[1] for M in mats})
+    if len(widths) > 1:
+        raise DimensionError(
+            f"{what}s of different conditions must share one width, got {widths}")
+    return np.vstack(mats)
+
+
+def as_point_rows(points) -> np.ndarray:
+    """Scalar d-variable points as an (N, d) complex array; a flat list is d = 1."""
+    try:
+        pts = np.asarray(points, dtype=np.complex128)
+    except ValueError as exc:
+        raise DimensionError(f"points must share one number of coordinates: {exc}")
+    if pts.ndim == 1:
+        pts = pts.reshape(-1, 1)
+    if pts.ndim != 2:
+        raise DimensionError(
+            f"points must be a list of coordinate lists, got ndim={pts.ndim}")
+    return pts
 
 
 def required_levels(r: float, norm0: float, series_tol: float) -> int:
@@ -237,12 +280,16 @@ def solve_lyapunov_rhp(Z, Q):
     """Solve P Z* + Z P = Q.
 
     Z must be Lyapunov regular: no eigenvalue pair with lam + conj(mu) = 0.
-    The result is hermitized when Q is Hermitian (the exact solution is).
+    Q is one matrix or a stack (k, n, n) of right-hand sides, all solved with
+    one factorisation.  Each solution is hermitized when its Q is Hermitian
+    (the exact solution is).
     """
     Z = _require_square(as_complex_matrix(Z), "Z")
-    Q = as_complex_matrix(Q)
-    if Q.shape != Z.shape:
-        raise DimensionError(f"Q shape {Q.shape} does not match Z {Z.shape}")
+    stacked = np.ndim(Q) == 3
+    Qs = (np.asarray(Q, dtype=np.complex128) if stacked
+          else as_complex_matrix(Q)[None])
+    if Qs.shape[1:] != Z.shape:
+        raise DimensionError(f"Q shape {Qs.shape[1:]} does not match Z {Z.shape}")
     margin, pair = lyapunov_regularity_margin(Z)
     scale = max(spectral_radius(Z), 1.0)
     if margin <= 1e-12 * scale:
@@ -254,8 +301,9 @@ def solve_lyapunov_rhp(Z, Q):
     n = Z.shape[0]
     # Row-major vec: vec(Z P) = (Z kron I) vec(P), vec(P Z*) = (I kron conj(Z)) vec(P).
     K = np.kron(Z, np.eye(n)) + np.kron(np.eye(n), Z.conj())
-    vecP = np.linalg.solve(K, Q.reshape(-1))
-    P = vecP.reshape(Z.shape)
-    if np.allclose(Q, Q.conj().T, rtol=0.0, atol=1e-13 * max(operator_norm(Q), 1.0)):
-        P = hermitize(P)
-    return P
+    P = np.linalg.solve(K, Qs.reshape(len(Qs), -1).T).T.reshape(Qs.shape)
+    for k, Qk in enumerate(Qs):
+        if np.allclose(Qk, Qk.conj().T, rtol=0.0,
+                       atol=1e-13 * max(operator_norm(Qk), 1.0)):
+            P[k] = hermitize(P[k])
+    return P if stacked else P[0]

@@ -4,7 +4,8 @@ A quiver is a finite directed graph; its composable arrow sequences index a
 graded Toeplitz algebra.  Points live in generalized disks whose per-vertex
 row blocks are strict contractions, and three Pick-matrix criteria decide
 tensor-calculus, functional-calculus and operator-argument interpolation.
-Path sums are truncated with certified geometric tails.
+Path sums are one level recursion on the condition-stacked matrix, with each
+arrow block placed by vertex, truncated with certified geometric tails.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import (
     ShapeError,
 )
 from .matcore import as_complex_matrix
-from .reports import FeasibilityReport, make_report
+from .reports import FeasibilityReport, series_report
 
 
 @dataclass(frozen=True)
@@ -170,11 +171,6 @@ class Grading:
     def block_slice(self, v: str) -> slice:
         return slice(self.offsets[v], self.offsets[v] + self.dims[v])
 
-    def embed(self, v: str, M: np.ndarray, out: np.ndarray) -> None:
-        """Add M into the (v, v) diagonal block of out."""
-        s = self.block_slice(v)
-        out[s, s] += M
-
 
 @dataclass(frozen=True, eq=False)
 class QuiverPoint:
@@ -261,10 +257,6 @@ def _plan_path_sums(entries, G: Quiver, series_tol: float, budget: int):
     return matcore.plan_levels(entries, len(G.arrows), series_tol, budget)
 
 
-def _block_tail_norm(tails: np.ndarray) -> float:
-    return float(np.linalg.norm(tails, 2))
-
-
 def _check_points(G, dims, points, kind):
     reports = []
     for k, P in enumerate(points):
@@ -308,12 +300,6 @@ def pick_qltt(G: Quiver, zdims: Grading, ydims: Grading, points, directions,
         raise ShapeError("directions and targets must share one output dimension")
     xnorm = [matcore.operator_norm(M) for M in X]
     ynorm = [matcore.operator_norm(M) for M in Y]
-    # offsets of the (Y_v tensor Z_v) summands inside Q
-    qoff: Dict[str, int] = {}
-    pos = 0
-    for v in G.vertices:
-        qoff[v] = pos
-        pos += ydims[v] * zdims[v]
 
     # one geometric plan per (vertex, i, j, basis pair): ratios repeat per
     # (i, j), unit-rank starting norms are 1
@@ -323,62 +309,72 @@ def pick_qltt(G: Quiver, zdims: Grading, ydims: Grading, points, directions,
     levels_ij, tails_ij = _plan_path_sums(
         [e for e in pair_entries for _ in range(kv_total)], G, series_tol,
         budget)
-    levels_ij = levels_ij[::max(kv_total, 1)]
-    tails_ij = tails_ij[::max(kv_total, 1)]
+    levels = max(levels_ij[::max(kv_total, 1)])
+    tails_ij = np.array(tails_ij[::max(kv_total, 1)]).reshape(N, N) * (
+        np.outer(xnorm, xnorm) + np.outer(ynorm, ynorm))
 
     out: Dict[str, FeasibilityReport] = {}
     for v in G.vertices:
         kv = zdims[v]
         if kv == 0:
             continue
-        size = N * kv * c
-        pick = np.zeros((size, size), dtype=np.complex128)
-        tails = np.zeros((N * kv, N * kv))
-        for i in range(N):
-            for j in range(N):
-                L = levels_ij[i * N + j]
-                tail_a = tails_ij[i * N + j]
-                for ip in range(kv):
-                    for jp in range(kv):
-                        A_sum = _qltt_path_sum(G, zdims, points[i], points[j],
-                                               v, ip, jp, L)
-                        middle = np.zeros((qdim, qdim), dtype=np.complex128)
-                        for w in G.vertices:
-                            if ydims[w] == 0 or zdims[w] == 0:
-                                continue
-                            blk = np.kron(np.eye(ydims[w]), A_sum[w])
-                            s = slice(qoff[w], qoff[w] + ydims[w] * zdims[w])
-                            middle[s, s] = blk
-                        block = X[i] @ middle @ X[j].conj().T \
-                            - Y[i] @ middle @ Y[j].conj().T
-                        ri = (i * kv + ip) * c
-                        cj = (j * kv + jp) * c
-                        pick[ri:ri + c, cj:cj + c] = block
-                        tails[i * kv + ip, j * kv + jp] = \
-                            tail_a * (xnorm[i] * xnorm[j] + ynorm[i] * ynorm[j])
-        method = "closed_form" if tails.max() == 0 else "truncated_series"
-        out[v] = make_report(pick, method, _block_tail_norm(tails), tol)
+        pick = qltt_vertex_matrix(G, zdims, ydims, points, X, Y, v, levels)
+        tails = np.kron(tails_ij, np.ones((kv, kv)))
+        out[v] = series_report(pick, tails, tol)
     return out
 
 
-def _qltt_path_sum(G, zdims, Pi, Pj, v, ip, jp, levels):
-    """sum over paths g with source v of Z_i^g e_ip e_jp* Z_j^g*, per target vertex."""
-    K = {w: np.zeros((zdims[w], zdims[w]), dtype=np.complex128) for w in G.vertices}
-    unit = np.zeros((zdims[v], zdims[v]), dtype=np.complex128)
-    unit[ip, jp] = 1.0
-    K[v] = unit
-    acc = {w: K[w].copy() for w in G.vertices}
-    for _ in range(levels):
-        nxt = {w: np.zeros((zdims[w], zdims[w]), dtype=np.complex128)
-               for w in G.vertices}
-        for a in G.arrows:
-            s, t = G.src[a], G.rng[a]
-            if zdims[s] and zdims[t]:
-                nxt[t] += Pi.blocks[a] @ K[s] @ Pj.blocks[a].conj().T
-        K = nxt
-        for w in G.vertices:
-            acc[w] += K[w]
-    return acc
+def _stacked_arrows(G: Quiver, dims: Grading, points, copies: int = 1):
+    """Per arrow, blockdiag over conditions of the arrow block on the whole space.
+
+    Each point's block for arrow a is placed at rows rng(a), columns src(a)
+    (tensor points) or rows src(a), columns rng(a) (operator arguments);
+    every point is repeated `copies` times in the condition order.
+    """
+    out = []
+    for a in G.arrows:
+        blocks = []
+        for P in points:
+            rows, cols = ((G.rng[a], G.src[a]) if P.kind == "tensor"
+                          else (G.src[a], G.rng[a]))
+            E = np.zeros((dims.total, dims.total), dtype=np.complex128)
+            E[dims.block_slice(rows), dims.block_slice(cols)] = P.blocks[a]
+            blocks += [E] * copies
+        out.append(matcore.block_diag(blocks))
+    return out
+
+
+def qltt_vertex_matrix(G: Quiver, zdims: Grading, ydims: Grading, points,
+                       directions, targets, v: str, levels: int) -> np.ndarray:
+    """Vertex-v matrix of :func:`pick_qltt`, path sums truncated at `levels`.
+
+    The path sums K_(i,i'),(j,j') = sum_g Z_i^g e_i' e_j'* Z_j^g* (paths g
+    with source v) come from one level recursion on the stacked unit
+    matrices; the block X_i (I tensor K) X_j* - Y_i (I tensor K) Y_j* is then
+    summed over the (vertex w, copy k) summands Y_w tensor Z_w of Q.
+    """
+    kv, N, zdim = zdims[v], len(points), zdims.total
+    units = np.zeros((N * kv, zdim))
+    units[np.arange(N * kv), zdims.offsets[v] + np.tile(np.arange(kv), N)] = 1.0
+    units = units.reshape(-1, 1)
+    K = matcore.level_sum(_stacked_arrows(G, zdims, points, kv),
+                          units @ units.T, levels)
+    c = directions[0].shape[0]
+    pick = np.zeros((N * kv * c, N * kv * c), dtype=np.complex128)
+    q0 = 0
+    for w in G.vertices:
+        for _ in range(ydims[w]):
+            cols = slice(q0, q0 + zdims[w])
+            q0 += zdims[w]
+            for F, sign in ((directions, 1.0), (targets, -1.0)):
+                placed = []
+                for M in F:
+                    E = np.zeros((c, zdim), dtype=np.complex128)
+                    E[:, zdims.block_slice(w)] = M[:, cols]
+                    placed += [E] * kv
+                R = matcore.block_diag(placed)
+                pick += sign * (R @ K @ R.conj().T)
+    return pick
 
 
 def pick_qltrd(G: Quiver, zdims: Grading, points, directions, targets,
@@ -409,57 +405,31 @@ def pick_qltrd(G: Quiver, zdims: Grading, points, directions, targets,
     if basis_dim is not None and basis_dim != kappa:
         raise ShapeError("basis_dim must equal the common output dimension of X, Y")
 
-    size = N * kappa * zdim
-    middles = {}
+    n = N * kappa
+    # stacked rows (i, i') of X_i* e_i' and Y_i* e_i'
+    x = np.concatenate([M.conj().ravel() for M in X]).reshape(-1, 1)
+    y = np.concatenate([M.conj().ravel() for M in Y]).reshape(-1, 1)
+    M = x @ x.conj().T - y @ y.conj().T
+    blocks = M.reshape(N, kappa, zdim, N, kappa, zdim)
     entries = []
-    keys = []
     for i in range(N):
         for j in range(N):
             r = reports[i].worst_row_norm * reports[j].worst_row_norm
             for ip in range(kappa):
                 for jp in range(kappa):
-                    xi = X[i].conj().T[:, ip:ip + 1]
-                    xj = X[j].conj().T[:, jp:jp + 1]
-                    yi = Y[i].conj().T[:, ip:ip + 1]
-                    yj = Y[j].conj().T[:, jp:jp + 1]
-                    M0 = xi @ xj.conj().T - yi @ yj.conj().T
-                    middles[i, j, ip, jp] = M0
                     # adjoint-side recursion: trace argument adds a dim factor
-                    entries.append((r, zdim * matcore.operator_norm(M0)))
-                    keys.append((i, j, ip, jp))
+                    entries.append((r, zdim * matcore.operator_norm(
+                        blocks[i, ip, :, j, jp, :])))
     levels, tail_list = _plan_path_sums(entries, G, series_tol, budget)
-    pick = np.zeros((size, size), dtype=np.complex128)
-    tails = np.zeros((N * kappa, N * kappa))
-    for (i, j, ip, jp), L, tail in zip(keys, levels, tail_list):
-        block = _qltrd_path_sum(G, zdims, points[i], points[j],
-                                middles[i, j, ip, jp], L)
-        ri = (i * kappa + ip) * zdim
-        cj = (j * kappa + jp) * zdim
-        pick[ri:ri + zdim, cj:cj + zdim] = block
-        tails[i * kappa + ip, j * kappa + jp] = tail
-    method = "closed_form" if tails.max() == 0 else "truncated_series"
-    return make_report(pick, method, _block_tail_norm(tails), tol)
-
-
-def _qltrd_path_sum(G, zdims, Pi, Pj, M0, levels):
-    """sum over paths g of Z_i^g* [M0]_(r(g)) Z_j^g, embedded per source vertex."""
-    Lcur = {v: np.asarray(M0[zdims.block_slice(v), zdims.block_slice(v)])
-            for v in G.vertices}
-    acc = {v: Lcur[v].copy() for v in G.vertices}
-    for _ in range(levels):
-        nxt = {v: np.zeros((zdims[v], zdims[v]), dtype=np.complex128)
-               for v in G.vertices}
-        for a in G.arrows:
-            s, t = G.src[a], G.rng[a]
-            if zdims[s] and zdims[t]:
-                nxt[s] += Pi.blocks[a].conj().T @ Lcur[t] @ Pj.blocks[a]
-        Lcur = nxt
-        for v in G.vertices:
-            acc[v] += Lcur[v]
-    out = np.zeros((zdims.total, zdims.total), dtype=np.complex128)
-    for v in G.vertices:
-        zdims.embed(v, acc[v], out)
-    return out
+    # the path sums start from the vertex-diagonal blocks of each M0
+    vertex = np.repeat(np.arange(len(G.vertices)),
+                       [zdims[v] for v in G.vertices])
+    M *= np.kron(np.ones((n, n)), vertex[:, None] == vertex[None, :])
+    Ls = [L.conj().T for L in _stacked_arrows(G, zdims, points, kappa)]
+    pick = matcore.level_sum(Ls, M, max(levels))
+    tails = np.array(tail_list).reshape(N, N, kappa, kappa).transpose(
+        0, 2, 1, 3).reshape(n, n)
+    return series_report(pick, tails, tol)
 
 
 def split_block_diagonal(M, row_grading: Grading, col_grading: Grading,
@@ -497,33 +467,41 @@ def pick_qltoa(G: Quiver, xdims: Grading, points, directions, targets,
     Y = [_as_vertex_family(G, D, xdims, "target") for D in targets]
     if not (len(X) == len(Y) == N):
         raise ShapeError("need one direction and one target per point")
-    xdim = xdims.total
-    middles = {}
+    Xs = _stack_vertex_family(G, xdims, X, "direction")
+    Ys = _stack_vertex_family(G, xdims, Y, "target")
     entries = []
     for i in range(N):
         for j in range(N):
-            M0 = {}
-            norms = []
-            for v in G.vertices:
-                Mv = X[i][v] @ X[j][v].conj().T - Y[i][v] @ Y[j][v].conj().T
-                M0[v] = Mv
-                if Mv.size:
-                    norms.append(matcore.operator_norm(Mv))
-            middles[i, j] = M0
+            norms = [matcore.operator_norm(X[i][v] @ X[j][v].conj().T
+                                           - Y[i][v] @ Y[j][v].conj().T)
+                     for v in G.vertices if xdims[v]]
             entries.append((reports[i].worst_row_norm
                             * reports[j].worst_row_norm,
                             max(norms, default=0.0)))
     levels, tail_list = _plan_path_sums(entries, G, series_tol, budget)
-    pick = np.zeros((N * xdim, N * xdim), dtype=np.complex128)
-    tails = np.zeros((N, N))
-    for i in range(N):
-        for j in range(N):
-            block = _qltoa_path_sum(G, xdims, points[i], points[j],
-                                    middles[i, j], levels[i * N + j])
-            pick[i * xdim:(i + 1) * xdim, j * xdim:(j + 1) * xdim] = block
-            tails[i, j] = tail_list[i * N + j]
-    method = "closed_form" if tails.max() == 0 else "truncated_series"
-    return make_report(pick, method, _block_tail_norm(tails), tol)
+    pick = matcore.level_sum(_stacked_arrows(G, xdims, points),
+                             Xs @ Xs.conj().T - Ys @ Ys.conj().T, max(levels))
+    tails = np.array(tail_list).reshape(N, N)
+    return series_report(pick, tails, tol)
+
+
+def _stack_vertex_family(G, xdims: Grading, F, what: str) -> np.ndarray:
+    """Stacked rows (i, vertex) of the vertex-diagonal families F_i.
+
+    Row block (i, v) holds F_i[v] in the column group of v, so block (i, j)
+    of Fs Fs* is blockdiag_v F_i[v] F_j[v]*.
+    """
+    N, xdim = len(F), xdims.total
+    groups = [matcore.stack_rows([D[v] for D in F], f"{what} at vertex {v!r}")
+              for v in G.vertices]
+    out = np.zeros((N * xdim, sum(C.shape[1] for C in groups)), dtype=np.complex128)
+    col = 0
+    for v, C in zip(G.vertices, groups):
+        rows = (np.arange(N)[:, None] * xdim + xdims.offsets[v]
+                + np.arange(xdims[v])[None, :]).ravel()
+        out[rows, col:col + C.shape[1]] = C
+        col += C.shape[1]
+    return out
 
 
 def _as_vertex_family(G, D, xdims: Grading, what: str) -> Dict[str, np.ndarray]:
@@ -539,26 +517,6 @@ def _as_vertex_family(G, D, xdims: Grading, what: str) -> Dict[str, np.ndarray]:
             raise ShapeError(
                 f"{what} block at {v!r} has {M.shape[0]} rows, expected {xdims[v]}")
         out[v] = M
-    return out
-
-
-def _qltoa_path_sum(G, xdims, Pi, Pj, M0, levels):
-    """sum over paths g with source v of T_i^gT M0[r(g)] T_j^gT*, per source."""
-    Scur = {v: M0[v].astype(np.complex128, copy=True) for v in G.vertices}
-    acc = {v: Scur[v].copy() for v in G.vertices}
-    for _ in range(levels):
-        nxt = {v: np.zeros((xdims[v], xdims[v]), dtype=np.complex128)
-               for v in G.vertices}
-        for a in G.arrows:
-            s, t = G.src[a], G.rng[a]
-            if xdims[s] and xdims[t]:
-                nxt[s] += Pi.blocks[a] @ Scur[t] @ Pj.blocks[a].conj().T
-        Scur = nxt
-        for v in G.vertices:
-            acc[v] += Scur[v]
-    out = np.zeros((xdims.total, xdims.total), dtype=np.complex128)
-    for v in G.vertices:
-        xdims.embed(v, acc[v], out)
     return out
 
 

@@ -16,8 +16,13 @@ class FeasibilityReport:
 
     pick        hermitized Pick matrix
     verdict     PSD verdict at the tolerance used
-    method      "closed_form" | "stein_solve" | "truncated_series"
-    tail_bound  certified bound on the dropped series tail (0 for exact methods)
+    method      "closed_form" (finite formula or a finite level sum),
+                "stein_solve" (one-arrow fixed point by Smith doubling, run
+                until the dropped tail is below rounding) or
+                "truncated_series" (several-arrow level recursion cut at a
+                planned level)
+    tail_bound  certified bound on the dropped series tail (0 unless
+                "truncated_series")
     """
 
     pick: np.ndarray
@@ -42,3 +47,13 @@ def make_report(pick, method: str, tail_bound: float = 0.0, tol="auto") -> Feasi
         method=method,
         tail_bound=float(tail_bound),
     )
+
+
+def series_report(pick, tails, tol="auto") -> FeasibilityReport:
+    """Report for a level sum cut with a tail bound per (i, j) block.
+
+    The matrix of block tails bounds the dropped tail in spectral norm.
+    """
+    tails = np.asarray(tails, dtype=float)
+    method = "closed_form" if tails.max() == 0 else "truncated_series"
+    return make_report(pick, method, float(np.linalg.norm(tails, 2)), tol)

@@ -108,12 +108,20 @@ class TestPickNcLtoa:
 
     def test_level_recursion_vs_word_enumeration(self):
         rng = np.random.default_rng(6)
-        for d in (2, 3):
-            Zi = as_operator_tuple(row_tuple(rng, 2, d))
-            Zj = as_operator_tuple(row_tuple(rng, 2, d))
-            M0 = cg(rng, 2, 2)
+        # (d, dim Z_i, dim Z_j, non-normal first letter of Z_i with spectral
+        # radius < 1 < norm)
+        cases = [(d, 2, 2, False) for d in (2, 3)] + [(2, 2, 3, False),
+                                                     (2, 3, 2, True)]
+        for d, ni, nj, nonnormal in cases:
+            Zi = as_operator_tuple(row_tuple(rng, ni, d))
+            if nonnormal:
+                Zi = as_operator_tuple(
+                    [np.array([[0.3, 2.0, 0.0], [0.0, -0.2, 1.5], [0.0, 0.0, 0.1j]])]
+                    + list(Zi.mats[1:]))
+            Zj = as_operator_tuple(row_tuple(rng, nj, d))
+            M0 = cg(rng, ni, nj)
             L = 6 if d == 2 else 5
-            direct = np.zeros((2, 2), dtype=complex)
+            direct = np.zeros((ni, nj), dtype=complex)
             for w in words_up_to(d, L):
                 direct += word_power(Zi, w) @ M0 @ word_power(Zj, w).conj().T
             acc = M0.copy()
@@ -123,6 +131,12 @@ class TestPickNcLtoa:
                           for k in range(d))
                 acc += cur
             assert np.max(np.abs(acc - direct)) <= 1e-12
+            # the stacked kernel: L_k = blockdiag(Z_k^(i), Z_k^(j))
+            Ls = [matcore.block_diag([Zi.mats[k], Zj.mats[k]]) for k in range(d)]
+            M = np.zeros((ni + nj, ni + nj), dtype=complex)
+            M[:ni, ni:] = M0
+            stacked = matcore.level_sum(Ls, M, L)
+            assert np.max(np.abs(stacked[:ni, ni:] - direct)) <= 1e-12
 
     def test_tail_bound_honored(self):
         rng = np.random.default_rng(7)

@@ -70,6 +70,36 @@ class TestExitCodes:
         assert doc["verdict"] == "unknown"
         assert doc["error"]["code"] == "budget"
 
+    def test_invalid_budget_is_data_error(self, capsys, monkeypatch):
+        for raw in ("0", "-3", "many"):
+            monkeypatch.setenv("PICKLAB_BUDGET", raw)
+            code, doc = run_cli(["check", str(FIXTURES / "ball_nc_ltoa_scalar.json")],
+                                capsys)
+            assert code == 65
+            assert doc["error"]["code"] == "ArgumentError"
+
+    def test_mismatched_direction_widths_is_data_error(self, tmp_path, capsys):
+        z, one = [[[0.3, 0.0]]], [[[1.0, 0.0]]]
+        p = tmp_path / "req.json"
+        p.write_text(json.dumps({
+            "schema_version": "1", "setting": "disk.ltoa",
+            "payload": {"operator_points": [z, z],
+                        "directions": [one, [[[1.0, 0.0], [0.0, 0.0]]]],
+                        "targets": [z, z]}}))
+        code, doc = run_cli(["check", str(p)], capsys)
+        assert code == 65
+        assert doc["error"]["code"] == "DimensionError"
+
+    def test_ragged_agler_points_is_data_error(self, tmp_path, capsys):
+        z = [0.1, 0.0]
+        p = tmp_path / "req.json"
+        p.write_text(json.dumps({
+            "schema_version": "1", "setting": "polydisk.agler_scalar",
+            "payload": {"points": [[z, z], [z]], "values": [z, z]}}))
+        code, doc = run_cli(["agler", str(p)], capsys)
+        assert code == 65
+        assert doc["error"]["code"] == "DimensionError"
+
     def test_agler_exit_codes(self, capsys):
         code, doc = run_cli(["agler", str(FIXTURES / "agler_bidisk_feasible.json")],
                             capsys)
@@ -246,3 +276,14 @@ def test_console_entry_point_runs():
     doc = json.loads(proc.stdout)
     assert doc["verdict"] == "feasible"
     assert proc.stderr == ""
+
+
+def test_cli_import_loads_no_scipy():
+    # importing scipy.linalg alone costs about as much as a whole small request
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, picklab.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")})
+    assert proc.stdout.strip() == "[]"

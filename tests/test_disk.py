@@ -109,13 +109,21 @@ class TestPickLtoaRtoa:
         T = [contraction(rng, 3, 0.7) for _ in range(2)]
         X = [cg(rng, 3, 2) for _ in range(2)]
         Y = [cg(rng, 3, 2) for _ in range(2)]
-        rep = disk.pick_ltoa(T, X, Y)
-        for i in range(2):
-            for j in range(2):
-                M0 = X[i] @ X[j].conj().T - Y[i] @ Y[j].conj().T
-                series = matcore.stein_series(T[i], M0, T[j], 200)
-                blk = rep.pick[3 * i:3 * (i + 1), 3 * j:3 * (j + 1)]
-                assert np.max(np.abs(blk - series)) <= 1e-10
+        # points of different dimensions, the second non-normal with
+        # spectral radius 0.5 < 1 < its norm
+        T2 = [contraction(rng, 2, 0.7),
+              np.array([[0.5, 3.0, 0.0], [0.0, -0.4, 2.0], [0.0, 0.0, 0.3j]])]
+        X2 = [cg(rng, 2, 2), cg(rng, 3, 2)]
+        Y2 = [cg(rng, 2, 4), cg(rng, 3, 4)]
+        for T, X, Y in ((T, X, Y), (T2, X2, Y2)):
+            rep = disk.pick_ltoa(T, X, Y)
+            off = np.cumsum([0] + [t.shape[0] for t in T])
+            for i in range(2):
+                for j in range(2):
+                    M0 = X[i] @ X[j].conj().T - Y[i] @ Y[j].conj().T
+                    series = matcore.stein_series(T[i], M0, T[j], 200)
+                    blk = rep.pick[off[i]:off[i + 1], off[j]:off[j + 1]]
+                    assert np.max(np.abs(blk - series)) <= 1e-10
 
     def test_congruence_invariance(self):
         # rescaling a condition by invertible C_i (directions, targets, and

@@ -126,6 +126,20 @@ def test_solve_stein_matches_truncated_series():
         series = matcore.stein_series(A, Q, B, 200)
         rel = np.linalg.norm(P - series) / np.linalg.norm(Q)
         assert rel <= 1e-10
+    # spectral radii 1.5 and 0.4: rho(A) > 1 > rho(A) rho(B)
+    S = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) + 3 * np.eye(4)
+    A = S @ np.diag([1.5, -0.7, 0.3j, 0.1]) @ np.linalg.inv(S)
+    B = np.diag([0.4, 0.2, -0.3, 0.1j]) + np.diag([0.5, 0.5, 0.5], 1)
+    assert matcore.spectral_radius(A) > 1.0
+    P = matcore.solve_stein(A, Q, B)
+    series = matcore.stein_series(A, Q, B, 200)
+    rel = np.linalg.norm(P - series) / np.linalg.norm(series)
+    assert rel <= 1e-10
+    # the same series with A scaled by 2^60 and B by 2^-60: unbalanced
+    # doubling would overflow
+    P = matcore.solve_stein(2.0 ** 60 * A, Q, 2.0 ** -60 * B)
+    rel = np.linalg.norm(P - series) / np.linalg.norm(series)
+    assert rel <= 1e-10
 
 
 def test_solve_stein_residual_contract():
@@ -148,18 +162,17 @@ def test_solve_stein_divergence_error():
 
 
 def test_solve_stein_series_fallback_agrees():
-    # Force the series branch by exceeding the vec cap.
+    # A size whose vec dimension (4900) is far beyond dense Kronecker solves.
     rng = np.random.default_rng(9)
-    n = 70  # vec size 4900 > 4096
+    n = 70
     A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     B = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     A *= 0.5 / matcore.operator_norm(A)
     B *= 0.5 / matcore.operator_norm(B)
     Q = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    P, method, tail = matcore.solve_stein_report(A, Q, B)
-    assert method == "truncated_series"
+    P = matcore.solve_stein(A, Q, B)
     res = np.linalg.norm(P - A @ P @ B.conj().T - Q, 2)
-    assert res <= max(tail, 1e-12 * np.linalg.norm(Q, 2)) + 1e-12 * np.linalg.norm(Q, 2)
+    assert res <= 1e-12 * np.linalg.norm(Q, 2)
 
 
 def test_stein_series_tail_bound_honored():
