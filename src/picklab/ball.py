@@ -2,9 +2,9 @@
 
 Free words over d letters index the noncommutative Toeplitz algebra; points
 are operator d-tuples whose block row is a strict contraction.  Pick blocks
-are geometric word sums, computed for all blocks at once by the level
-recursion M_{n+1} = sum_k L_k M_n L_k* with L_k = blockdiag_i Z_k^(i) and
-certified geometric tails.  The commutative (Drury-Arveson) criteria reuse
+are geometric word sums: the fixed point of
+:func:`picklab.reports.fixed_point_report` with one arrow per letter,
+L_k = blockdiag_i Z_k^(i).  The commutative (Drury-Arveson) criteria reuse
 the word sum, which equals the multinomial-weighted multi-index sum; the
 literal unweighted multi-index sum is available behind a flag for
 comparison.
@@ -20,10 +20,16 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import config, matcore
-from .matcore import plan_levels
 from .errors import ArgumentError, BudgetError, DimensionError, DomainError
 from .matcore import as_complex_matrix
-from .reports import FeasibilityReport, make_report, series_report
+from .reports import (
+    FeasibilityReport,
+    block_entries,
+    fixed_point_report,
+    make_report,
+    series_report,
+    stacked_middle,
+)
 
 Word = Tuple[int, ...]
 
@@ -121,43 +127,15 @@ def _check_strict_row(tuples) -> List[OperatorTuple]:
     return out
 
 
-def _stacked_word_data(Zs, directions, targets):
-    """Stacked letters L_k = blockdiag_i Z_k^(i), middle Xs Xs* - Ys Ys*, and
-    the (ratio, starting norm) pair of each (i, j) block, row-major."""
-    X = [as_complex_matrix(M) for M in directions]
-    Y = [as_complex_matrix(M) for M in targets]
-    N = len(Zs)
-    if not (len(X) == len(Y) == N):
-        raise DimensionError("need one direction and one target per point")
-    d = Zs[0].d
-    for i in range(N):
-        if Zs[i].d != d:
-            raise DimensionError("all tuples must have the same number of entries")
-        if X[i].shape[0] != Zs[i].dim or Y[i].shape[0] != Zs[i].dim:
-            raise DimensionError(
-                f"condition {i}: directions/targets must map into the tuple space")
-    Xs = matcore.stack_rows(X, "direction")
-    Ys = matcore.stack_rows(Y, "target")
-    entries = [(Zs[i].row_norm * Zs[j].row_norm,
-                matcore.operator_norm(X[i] @ X[j].conj().T - Y[i] @ Y[j].conj().T))
-               for i in range(N) for j in range(N)]
-    Ls = [matcore.block_diag([Z.mats[k] for Z in Zs]) for k in range(d)]
-    return Ls, Xs @ Xs.conj().T - Ys @ Ys.conj().T, entries
-
-
 def pick_nc_ltoa(operator_points, directions, targets, tol="auto",
                  series_tol=1e-12, budget: Optional[int] = None) -> FeasibilityReport:
     """Pick matrix [sum_g Z_i^g (X_i X_j* - Y_i Y_j*) Z_j^g*] over free words.
 
-    One level recursion on the stacked matrix, run to the largest level
-    planned over the (i, j) blocks.
+    The fixed point with one arrow per letter, L_k = blockdiag_i Z_k^(i).
     """
-    budget = config.work_budget() if budget is None else budget
     Zs = _check_strict_row(operator_points)
-    Ls, M, entries = _stacked_word_data(Zs, directions, targets)
-    levels, tails = plan_levels(entries, len(Ls), series_tol, budget)
-    pick = matcore.level_sum(Ls, M, max(levels))
-    return series_report(pick, np.reshape(tails, (len(Zs), len(Zs))), tol)
+    return fixed_point_report([Z.mats for Z in Zs], directions, targets,
+                              [Z.row_norm for Z in Zs], tol, series_tol, budget)
 
 
 def _check_ball_points(points) -> np.ndarray:
@@ -225,9 +203,11 @@ def pick_da_ltoa(operator_points, directions, targets, tol="auto",
                 f"tuple {k} is not commutative (commutator norm {defect:.3g})")
     if not literal_unweighted:
         return pick_nc_ltoa(Zs, directions, targets, tol, series_tol, budget)
-    Ls, M, entries = _stacked_word_data(Zs, directions, targets)
-    plan = [_unweighted_level(r, norm0, len(Ls), series_tol, budget)
-            for r, norm0 in entries]
+    X, Y, M = stacked_middle([Z.mats for Z in Zs], directions, targets)
+    d = Zs[0].d
+    plan = [_unweighted_level(r, norm0, d, series_tol, budget)
+            for r, norm0 in block_entries(X, Y, [Z.row_norm for Z in Zs])]
+    Ls = [matcore.block_diag([Z.mats[k] for Z in Zs]) for k in range(d)]
     pick = _unweighted_multi_index_sum(Ls, M, max(m for m, _ in plan))
     return series_report(pick, np.reshape([t for _, t in plan], (len(Zs), len(Zs))),
                          tol)

@@ -208,28 +208,53 @@ def _dispatch_check(setting: str, payload: dict, opts: dict):
                  f"(polydisk settings use the 'agler' subcommand)")
 
 
-def _report_from_feasibility(rep, setting, opts, raw, emit_pick=False,
-                             vertex_reports=None) -> dict:
-    doc = {
-        "schema_version": _REPORT_VERSION,
-        "setting": setting,
-        "verdict": "feasible" if rep.verdict.is_psd else "infeasible",
-        "min_eigenvalue": _clean_float(rep.min_eigenvalue),
-        "gap_estimate": None,
-        "tail_bound": float(rep.tail_bound),
-        "tolerance_used": float(rep.verdict.tolerance_used),
-        "method": rep.method,
-        "provenance": {"input_sha256": _sha256(raw)},
-        "options": opts,
-    }
-    if emit_pick:
-        doc["pick_matrix"] = ser.matrix_to_json(rep.pick)
-    if vertex_reports is not None:
+def _envelope(setting, opts, raw, verdict, **fields) -> dict:
+    """The fields every check/agler report shares, updated with `fields`."""
+    doc = {"schema_version": _REPORT_VERSION, "setting": setting,
+           "verdict": verdict, "min_eigenvalue": None, "gap_estimate": None,
+           "tail_bound": 0.0, "provenance": {"input_sha256": _sha256(raw)},
+           "options": opts}
+    doc.update(fields)
+    return doc
+
+
+_VERDICT_EXIT = {"feasible": EXIT_FEASIBLE, "infeasible": EXIT_INFEASIBLE,
+                 "feasible_with_certificate": EXIT_FEASIBLE,
+                 "infeasible_evidence": EXIT_INFEASIBLE}
+
+
+def _finish(report: dict, started: float) -> int:
+    """Stamp the timing, emit the report and return its verdict's exit code."""
+    report["timings_ms"] = 1000 * (time.monotonic() - started)
+    _emit(report)
+    return _VERDICT_EXIT.get(report["verdict"], EXIT_UNKNOWN)
+
+
+def _budget_report(exc, setting, opts, raw) -> dict:
+    return _envelope(setting, opts, raw, "unknown",
+                     error={"code": "budget", "message": str(exc), "path": None})
+
+
+def _check_report(result, setting, opts, raw, emit_pick) -> dict:
+    """Report on one FeasibilityReport, or on the per-vertex family of
+    quiver.qltt (feasible iff every vertex is; the worst vertex speaks)."""
+    reps = result if isinstance(result, dict) else {None: result}
+    worst = min(reps.values(), key=lambda r: r.min_eigenvalue)
+    doc = _envelope(
+        setting, opts, raw,
+        "feasible" if all(r.feasible for r in reps.values()) else "infeasible",
+        min_eigenvalue=_clean_float(worst.min_eigenvalue),
+        tail_bound=float(max(r.tail_bound for r in reps.values())),
+        tolerance_used=float(worst.verdict.tolerance_used),
+        method=worst.method)
+    if isinstance(result, dict):
         doc["vertex_verdicts"] = {
             v: {"feasible": r.verdict.is_psd,
                 "min_eigenvalue": _clean_float(r.min_eigenvalue),
                 "tail_bound": float(r.tail_bound)}
-            for v, r in vertex_reports.items()}
+            for v, r in result.items()}
+    elif emit_pick:
+        doc["pick_matrix"] = ser.matrix_to_json(result.pick)
     return doc
 
 
@@ -243,42 +268,9 @@ def cmd_check(args) -> int:
     try:
         result = _dispatch_check(setting, doc["payload"], opts)
     except BudgetError as exc:
-        report = {"schema_version": _REPORT_VERSION, "setting": setting,
-                  "verdict": "unknown", "min_eigenvalue": None,
-                  "gap_estimate": None, "tail_bound": 0.0,
-                  "provenance": {"input_sha256": _sha256(raw)},
-                  "options": opts,
-                  "error": {"code": "budget", "message": str(exc), "path": None},
-                  "timings_ms": 1000 * (time.monotonic() - started)}
-        _emit(report)
-        return EXIT_UNKNOWN
-    if isinstance(result, dict):  # per-vertex family (quiver.qltt)
-        feasible = all(r.verdict.is_psd for r in result.values())
-        worst = min(result.values(), key=lambda r: r.min_eigenvalue)
-        combined = {
-            "schema_version": _REPORT_VERSION, "setting": setting,
-            "verdict": "feasible" if feasible else "infeasible",
-            "min_eigenvalue": _clean_float(worst.min_eigenvalue),
-            "gap_estimate": None,
-            "tail_bound": float(max(r.tail_bound for r in result.values())),
-            "tolerance_used": float(worst.verdict.tolerance_used),
-            "method": worst.method,
-            "provenance": {"input_sha256": _sha256(raw)},
-            "options": opts,
-            "vertex_verdicts": {
-                v: {"feasible": r.verdict.is_psd,
-                    "min_eigenvalue": _clean_float(r.min_eigenvalue),
-                    "tail_bound": float(r.tail_bound)}
-                for v, r in result.items()},
-        }
-        combined["timings_ms"] = 1000 * (time.monotonic() - started)
-        _emit(combined)
-        return EXIT_FEASIBLE if feasible else EXIT_INFEASIBLE
-    report = _report_from_feasibility(result, setting, opts, raw,
-                                      emit_pick=args.emit_pick)
-    report["timings_ms"] = 1000 * (time.monotonic() - started)
-    _emit(report)
-    return EXIT_FEASIBLE if result.verdict.is_psd else EXIT_INFEASIBLE
+        return _finish(_budget_report(exc, setting, opts, raw), started)
+    return _finish(_check_report(result, setting, opts, raw, args.emit_pick),
+                   started)
 
 
 def _agler_problem(setting: str, payload: dict) -> agler_mod.AglerProblem:
@@ -311,23 +303,10 @@ def cmd_agler(args) -> int:
     try:
         rep = agler_mod.solve_feasibility(problem, tol=tol, max_iter=max_iter)
     except BudgetError as exc:
-        _emit({"schema_version": _REPORT_VERSION, "setting": setting,
-               "verdict": "unknown", "min_eigenvalue": None,
-               "gap_estimate": None, "tail_bound": 0.0,
-               "provenance": {"input_sha256": _sha256(raw)}, "options": opts,
-               "error": {"code": "budget", "message": str(exc), "path": None},
-               "timings_ms": 1000 * (time.monotonic() - started)})
-        return EXIT_UNKNOWN
-    report = {
-        "schema_version": _REPORT_VERSION, "setting": setting,
-        "verdict": rep.status,
-        "min_eigenvalue": None,
-        "gap_estimate": _clean_float(rep.gap_estimate),
-        "tail_bound": 0.0,
-        "iterations": rep.iterations,
-        "provenance": {"input_sha256": _sha256(raw)},
-        "options": opts,
-    }
+        return _finish(_budget_report(exc, setting, opts, raw), started)
+    report = _envelope(setting, opts, raw, rep.status,
+                       gap_estimate=_clean_float(rep.gap_estimate),
+                       iterations=rep.iterations)
     if rep.certificate is not None:
         report["residual_norm"] = float(rep.certificate.residual_norm)
         cert_doc = {
@@ -339,13 +318,7 @@ def cmd_agler(args) -> int:
             with open(args.emit_certificate, "w") as fh:
                 json.dump(cert_doc, fh, sort_keys=True)
         report["certificate"] = cert_doc if args.embed_certificate else None
-    report["timings_ms"] = 1000 * (time.monotonic() - started)
-    _emit(report)
-    if rep.status == "feasible_with_certificate":
-        return EXIT_FEASIBLE
-    if rep.status == "infeasible_evidence":
-        return EXIT_INFEASIBLE
-    return EXIT_UNKNOWN
+    return _finish(report, started)
 
 
 def cmd_sample(args) -> int:
@@ -436,8 +409,7 @@ def cmd_choi(args) -> int:
 
 def cmd_cpcheck(args) -> int:
     phi = _read_map(args.input)
-    verdict = cp.cp_check(phi, args.tol if args.tol is not None else "auto",
-                          witness_seed=args.seed or 0)
+    verdict = cp.cp_check(phi, args.tol if args.tol is not None else "auto")
     doc = {"schema_version": _REPORT_VERSION,
            "is_cp": verdict.is_cp,
            "choi_min_eigenvalue": float(verdict.choi_min_eig)}
@@ -514,7 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cp = sub.add_parser("cpcheck", help="complete-positivity check")
     p_cp.add_argument("input")
     p_cp.add_argument("--tol", type=_tol_arg, default=None)
-    p_cp.add_argument("--seed", type=int, default=None)
+    p_cp.add_argument("--seed", type=int, default=None,
+                      help="accepted and ignored: the witness is exact")
     p_cp.set_defaults(func=cmd_cpcheck)
     return parser
 

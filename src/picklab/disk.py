@@ -1,8 +1,8 @@
 """Single-variable Pick-matrix criteria on the unit disk.
 
 Covers the full operator-valued problem, left/right tangential variants,
-operator-argument variants (geometric series summed exactly by one Stein
-solve on the condition-stacked data), the three functional-calculus variants
+operator-argument variants (the one-arrow fixed point of
+:func:`picklab.reports.fixed_point_report`), the three functional-calculus variants
 with a finite basis expansion, and the right-half-plane Lyapunov criterion
 for the Nevanlinna class.  Each criterion returns a FeasibilityReport whose Pick matrix is
 positive semidefinite exactly when the interpolation problem is solvable.
@@ -18,7 +18,7 @@ import numpy as np
 from . import matcore
 from .errors import ArgumentError, DimensionError, DomainError
 from .matcore import as_complex_matrix
-from .reports import FeasibilityReport, make_report
+from .reports import FeasibilityReport, fixed_point_report, make_report
 
 
 def _check_disk_points(lams) -> np.ndarray:
@@ -93,51 +93,23 @@ def pick_rt(points, directions, targets, tol="auto") -> FeasibilityReport:
     return make_report(np.block(blocks), "closed_form", 0.0, tol)
 
 
-def _stacked_ltoa(T, X, Y, tol) -> FeasibilityReport:
-    """[sum_n T_i^n (X_i X_j* - Y_i Y_j*) T_j*^n] as one stacked Stein solve.
-
-    With Tb = blockdiag(T_i) and Xs = vstack(X_i), the Pick matrix is the
-    solution of P - Tb P Tb* = Xs Xs* - Ys Ys*.
-    """
-    Xs = matcore.stack_rows(X, "direction")
-    Ys = matcore.stack_rows(Y, "target")
-    Tb = matcore.block_diag(T)
-    pick = matcore.solve_stein(Tb, Xs @ Xs.conj().T - Ys @ Ys.conj().T, Tb)
-    return make_report(pick, "stein_solve", 0.0, tol)
-
-
 def pick_ltoa(operator_points, directions, targets, tol="auto") -> FeasibilityReport:
-    """Pick matrix [sum_n T_i^n (X_i X_j* - Y_i Y_j*) T_j*^n]."""
+    """Pick matrix [sum_n T_i^n (X_i X_j* - Y_i Y_j*) T_j*^n].
+
+    The one-arrow fixed point P = Xs Xs* - Ys Ys* + Tb P Tb* with
+    Tb = blockdiag(T_i) and Xs = vstack(X_i).
+    """
     T = _check_strict_ops(operator_points)
-    X = [as_complex_matrix(M) for M in directions]
-    Y = [as_complex_matrix(M) for M in targets]
-    N = len(T)
-    if not (len(X) == len(Y) == N):
-        raise DimensionError("need one direction and one target per operator point")
-    for i in range(N):
-        if X[i].shape[0] != T[i].shape[0] or Y[i].shape[0] != T[i].shape[0]:
-            raise DimensionError(
-                f"condition {i}: directions/targets must map into the space of T_{i}")
-    return _stacked_ltoa(T, X, Y, tol)
+    return fixed_point_report([[Ti] for Ti in T], directions, targets, None, tol)
 
 
 def pick_rtoa(operator_points, directions, targets, tol="auto") -> FeasibilityReport:
     """Pick matrix [sum_n A_i*^n (U_i* U_j - V_i* V_j) A_j^n].
 
-    The same stacked solve as LTOA on the adjoint data (A_i*, U_i*, V_i*).
+    LTOA on the adjoint data (A_i*, U_i*, V_i*), so the sharp duality with
+    :func:`pick_ltoa` is exact.
     """
-    A = _check_strict_ops(operator_points)
-    U = [as_complex_matrix(M) for M in directions]
-    V = [as_complex_matrix(M) for M in targets]
-    N = len(A)
-    if not (len(U) == len(V) == N):
-        raise DimensionError("need one direction and one target per operator point")
-    for i in range(N):
-        if U[i].shape[1] != A[i].shape[0] or V[i].shape[1] != A[i].shape[0]:
-            raise DimensionError(
-                f"condition {i}: directions/targets must act on the space of A_{i}")
-    return _stacked_ltoa([M.conj().T for M in A], [M.conj().T for M in U],
-                         [M.conj().T for M in V], tol)
+    return pick_ltoa(*sharp_ltoa_to_rtoa(operator_points, directions, targets), tol)
 
 
 @dataclass(frozen=True)

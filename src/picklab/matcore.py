@@ -3,10 +3,12 @@
 Hermitian eigenvalues and PSD verdicts, operator norms, the Lyapunov solver,
 and the fixed-point kernel behind every operator-argument Pick matrix:
 P = M + sum_a L_a P L_a* on the whole condition-stacked matrix, with L_a
-block diagonal over the conditions.  One arrow is a Stein equation, solved
-by Smith doubling (:func:`solve_stein`); several arrows are summed by the
-level recursion (:func:`level_sum`), truncated at levels planned with
-certified geometric tails (:func:`plan_levels`).  :func:`stein_series` and
+block diagonal over the conditions.  Block-diagonal operators are kept as
+block stacks (N, m, n) and applied by :func:`sandwich`.  One arrow is a
+Stein equation, solved by Smith doubling on the stacks (:func:`solve_stein`);
+several arrows are summed by the level recursion (:func:`level_sum`),
+truncated at levels planned with certified geometric tails
+(:func:`plan_levels`).  :func:`stein_series` and
 :func:`stein_tail_bound` are independent oracles for tests.  All functions
 are pure; matrices are numpy complex arrays, and Hermitian outputs are
 always symmetrized explicitly.
@@ -143,24 +145,50 @@ def stein_tail_bound(A, Q, B, terms: int) -> float:
     return operator_norm(last) / (1.0 - r)
 
 
+def _as_stack(A) -> np.ndarray:
+    """A stack (N, m, n) of blocks; a matrix is a stack of one block."""
+    if np.ndim(A) == 3:
+        return np.asarray(A, dtype=np.complex128)
+    return as_complex_matrix(A)[None]
+
+
+def sandwich(A, P, B) -> np.ndarray:
+    """Block (i, j) of P mapped to A_i P_ij B_j*.
+
+    A (N, m, n) and B (K, p, q) are block stacks standing for blockdiag(A_i)
+    and blockdiag(B_j) (a matrix is a stack of one block; blocks may be
+    rectangular) and P is (N n) x (K q); computed with N block-row and K
+    block-column products instead of two dense products.
+    """
+    A, B = _as_stack(A), _as_stack(B)
+    (N, m, n), (K, p, q) = A.shape, B.shape
+    P = A @ np.reshape(P, (N, n, K * q))
+    P = P.reshape(N * m, K, q).transpose(1, 0, 2) @ B.conj().transpose(0, 2, 1)
+    return P.transpose(1, 0, 2).reshape(N * m, K * p)
+
+
 def solve_stein(A, Q, B):
     """Solve P - A P B* = Q, i.e. P = sum_n A^n Q B*^n, by Smith doubling.
 
-    After k doublings P holds the first 2^k terms; the loop stops once
-    ||A^(2^k)||_F ||B^(2^k)||_F <= eps, where the dropped tail is below
-    rounding relative to P.  A and B are rebalanced by a power of two at
-    every step (exact, and the product A_k P B_k* is unchanged), so inputs
-    with spectral_radius(A) > 1 > spectral_radius(A) * spectral_radius(B)
+    A and B are square matrices or stacks (N, n, n) of square blocks standing
+    for blockdiag(A_i); the doubling squares the blocks batched and applies
+    A_k P B_k* through :func:`sandwich`.  After k doublings P holds the first
+    2^k terms; the loop stops once ||A^(2^k)||_F ||B^(2^k)||_F <= eps, where
+    the dropped tail is below rounding relative to P.  A and B are
+    rebalanced by a power of two at every step (exact, and the product
+    A_k P B_k* is unchanged), so inputs with
+    spectral_radius(A) > 1 > spectral_radius(A) * spectral_radius(B)
     converge too.  DivergenceError when the norms stop being finite or 64
     doublings do not converge.
     """
-    A = _require_square(as_complex_matrix(A), "A")
-    B = _require_square(as_complex_matrix(B), "B")
+    A, B = _as_stack(A), _as_stack(B)
+    for S, what in ((A, "A"), (B, "B")):
+        if S.shape[1] != S.shape[2]:
+            raise DimensionError(f"{what} blocks must be square, got shape {S.shape[1:]}")
     Q = as_complex_matrix(Q)
-    if Q.shape != (A.shape[0], B.shape[0]):
+    if Q.shape != (A.shape[0] * A.shape[1], B.shape[0] * B.shape[1]):
         raise DimensionError(
-            f"Q shape {Q.shape} does not conform to A {A.shape}, B {B.shape}"
-        )
+            f"Q shape {Q.shape} does not conform to A {A.shape}, B {B.shape}")
     P = Q.copy()
     for _ in range(64):
         na = np.linalg.norm(A)
@@ -172,7 +200,7 @@ def solve_stein(A, Q, B):
         s = 2.0 ** round(0.5 * math.log2(na / nb))
         A = A / s
         B = B * s
-        P += A @ P @ B.conj().T
+        P += sandwich(A, P, B)
         A = A @ A
         B = B @ B
     raise DivergenceError(

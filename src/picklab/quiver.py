@@ -5,7 +5,9 @@ graded Toeplitz algebra.  Points live in generalized disks whose per-vertex
 row blocks are strict contractions, and three Pick-matrix criteria decide
 tensor-calculus, functional-calculus and operator-argument interpolation.
 Path sums are one level recursion on the condition-stacked matrix, with each
-arrow block placed by vertex, truncated with certified geometric tails.
+arrow block placed by vertex, truncated with certified geometric tails; the
+operator-argument criterion is the fixed point of
+:func:`picklab.reports.fixed_point_report` with one arrow per quiver arrow.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .errors import (
     ShapeError,
 )
 from .matcore import as_complex_matrix
-from .reports import FeasibilityReport, series_report
+from .reports import FeasibilityReport, fixed_point_report, series_report
 
 
 @dataclass(frozen=True)
@@ -249,14 +251,6 @@ def path_power(point: QuiverPoint, path: Path, dims: Grading) -> np.ndarray:
     return M
 
 
-def _plan_path_sums(entries, G: Quiver, series_tol: float, budget: int):
-    """Dataset-level truncation plan; one (levels, tail) pair per entry."""
-    for r, _ in entries:
-        if r >= 1.0:
-            raise DomainError(f"level-recursion ratio {r:.6g} >= 1")
-    return matcore.plan_levels(entries, len(G.arrows), series_tol, budget)
-
-
 def _check_points(G, dims, points, kind):
     reports = []
     for k, P in enumerate(points):
@@ -306,9 +300,9 @@ def pick_qltt(G: Quiver, zdims: Grading, ydims: Grading, points, directions,
     pair_entries = [(reports[i].worst_row_norm * reports[j].worst_row_norm, 1.0)
                     for i in range(N) for j in range(N)]
     kv_total = sum(zdims[v] ** 2 for v in G.vertices)
-    levels_ij, tails_ij = _plan_path_sums(
-        [e for e in pair_entries for _ in range(kv_total)], G, series_tol,
-        budget)
+    levels_ij, tails_ij = matcore.plan_levels(
+        [e for e in pair_entries for _ in range(kv_total)], len(G.arrows),
+        series_tol, budget)
     levels = max(levels_ij[::max(kv_total, 1)])
     tails_ij = np.array(tails_ij[::max(kv_total, 1)]).reshape(N, N) * (
         np.outer(xnorm, xnorm) + np.outer(ynorm, ynorm))
@@ -324,23 +318,17 @@ def pick_qltt(G: Quiver, zdims: Grading, ydims: Grading, points, directions,
     return out
 
 
-def _stacked_arrows(G: Quiver, dims: Grading, points, copies: int = 1):
-    """Per arrow, blockdiag over conditions of the arrow block on the whole space.
+def _placed_arrows(G: Quiver, dims: Grading, P: QuiverPoint) -> np.ndarray:
+    """P's arrow blocks on the whole graded space, shape (arrows, dim, dim).
 
-    Each point's block for arrow a is placed at rows rng(a), columns src(a)
-    (tensor points) or rows src(a), columns rng(a) (operator arguments);
-    every point is repeated `copies` times in the condition order.
+    The block for arrow a sits at rows rng(a), columns src(a) (tensor points)
+    or rows src(a), columns rng(a) (operator arguments).
     """
-    out = []
-    for a in G.arrows:
-        blocks = []
-        for P in points:
-            rows, cols = ((G.rng[a], G.src[a]) if P.kind == "tensor"
-                          else (G.src[a], G.rng[a]))
-            E = np.zeros((dims.total, dims.total), dtype=np.complex128)
-            E[dims.block_slice(rows), dims.block_slice(cols)] = P.blocks[a]
-            blocks += [E] * copies
-        out.append(matcore.block_diag(blocks))
+    out = np.zeros((len(G.arrows), dims.total, dims.total), dtype=np.complex128)
+    for L, a in zip(out, G.arrows):
+        rows, cols = ((G.rng[a], G.src[a]) if P.kind == "tensor"
+                      else (G.src[a], G.rng[a]))
+        L[dims.block_slice(rows), dims.block_slice(cols)] = P.blocks[a]
     return out
 
 
@@ -357,23 +345,23 @@ def qltt_vertex_matrix(G: Quiver, zdims: Grading, ydims: Grading, points,
     units = np.zeros((N * kv, zdim))
     units[np.arange(N * kv), zdims.offsets[v] + np.tile(np.arange(kv), N)] = 1.0
     units = units.reshape(-1, 1)
-    K = matcore.level_sum(_stacked_arrows(G, zdims, points, kv),
-                          units @ units.T, levels)
-    c = directions[0].shape[0]
+    placed = np.array([_placed_arrows(G, zdims, P) for P in points])
+    Ls = [matcore.block_diag(np.repeat(placed[:, k], kv, axis=0))
+          for k in range(len(G.arrows))]
+    K = matcore.level_sum(Ls, units @ units.T, levels)
+    X, Y = np.array(directions), np.array(targets)
+    c = X.shape[1]
     pick = np.zeros((N * kv * c, N * kv * c), dtype=np.complex128)
     q0 = 0
     for w in G.vertices:
         for _ in range(ydims[w]):
             cols = slice(q0, q0 + zdims[w])
             q0 += zdims[w]
-            for F, sign in ((directions, 1.0), (targets, -1.0)):
-                placed = []
-                for M in F:
-                    E = np.zeros((c, zdim), dtype=np.complex128)
-                    E[:, zdims.block_slice(w)] = M[:, cols]
-                    placed += [E] * kv
-                R = matcore.block_diag(placed)
-                pick += sign * (R @ K @ R.conj().T)
+            for F, sign in ((X, 1.0), (Y, -1.0)):
+                R = np.zeros((N, c, zdim), dtype=np.complex128)
+                R[:, :, zdims.block_slice(w)] = F[:, :, cols]
+                R = np.repeat(R, kv, axis=0)
+                pick += sign * matcore.sandwich(R, K, R)
     return pick
 
 
@@ -420,12 +408,15 @@ def pick_qltrd(G: Quiver, zdims: Grading, points, directions, targets,
                     # adjoint-side recursion: trace argument adds a dim factor
                     entries.append((r, zdim * matcore.operator_norm(
                         blocks[i, ip, :, j, jp, :])))
-    levels, tail_list = _plan_path_sums(entries, G, series_tol, budget)
+    levels, tail_list = matcore.plan_levels(entries, len(G.arrows), series_tol,
+                                            budget)
     # the path sums start from the vertex-diagonal blocks of each M0
     vertex = np.repeat(np.arange(len(G.vertices)),
                        [zdims[v] for v in G.vertices])
     M *= np.kron(np.ones((n, n)), vertex[:, None] == vertex[None, :])
-    Ls = [L.conj().T for L in _stacked_arrows(G, zdims, points, kappa)]
+    placed = np.array([_placed_arrows(G, zdims, P) for P in points])
+    Ls = [matcore.block_diag(np.repeat(placed[:, k], kappa, axis=0)).conj().T
+          for k in range(len(G.arrows))]
     pick = matcore.level_sum(Ls, M, max(levels))
     tails = np.array(tail_list).reshape(N, N, kappa, kappa).transpose(
         0, 2, 1, 3).reshape(n, n)
@@ -460,48 +451,23 @@ def pick_qltoa(G: Quiver, xdims: Grading, points, directions, targets,
     transposed-word conjugations T_i^gT (X_r(g) X_r(g)* - Y_r(g) Y_r(g)*)
     T_j^gT*, embedded per source vertex; the result is N dim(X) square.
     """
-    budget = config.work_budget() if budget is None else budget
     reports = _check_points(G, xdims, points, "operator_argument")
-    N = len(points)
     X = [_as_vertex_family(G, D, xdims, "direction") for D in directions]
     Y = [_as_vertex_family(G, D, xdims, "target") for D in targets]
-    if not (len(X) == len(Y) == N):
-        raise ShapeError("need one direction and one target per point")
-    Xs = _stack_vertex_family(G, xdims, X, "direction")
-    Ys = _stack_vertex_family(G, xdims, Y, "target")
-    entries = []
-    for i in range(N):
-        for j in range(N):
-            norms = [matcore.operator_norm(X[i][v] @ X[j][v].conj().T
-                                           - Y[i][v] @ Y[j][v].conj().T)
-                     for v in G.vertices if xdims[v]]
-            entries.append((reports[i].worst_row_norm
-                            * reports[j].worst_row_norm,
-                            max(norms, default=0.0)))
-    levels, tail_list = _plan_path_sums(entries, G, series_tol, budget)
-    pick = matcore.level_sum(_stacked_arrows(G, xdims, points),
-                             Xs @ Xs.conj().T - Ys @ Ys.conj().T, max(levels))
-    tails = np.array(tail_list).reshape(N, N)
-    return series_report(pick, tails, tol)
+    return fixed_point_report([_placed_arrows(G, xdims, P) for P in points],
+                              _vertex_blocks(G, X, "direction"),
+                              _vertex_blocks(G, Y, "target"),
+                              [r.worst_row_norm for r in reports], tol,
+                              series_tol, budget)
 
 
-def _stack_vertex_family(G, xdims: Grading, F, what: str) -> np.ndarray:
-    """Stacked rows (i, vertex) of the vertex-diagonal families F_i.
-
-    Row block (i, v) holds F_i[v] in the column group of v, so block (i, j)
-    of Fs Fs* is blockdiag_v F_i[v] F_j[v]*.
-    """
-    N, xdim = len(F), xdims.total
-    groups = [matcore.stack_rows([D[v] for D in F], f"{what} at vertex {v!r}")
-              for v in G.vertices]
-    out = np.zeros((N * xdim, sum(C.shape[1] for C in groups)), dtype=np.complex128)
-    col = 0
-    for v, C in zip(G.vertices, groups):
-        rows = (np.arange(N)[:, None] * xdim + xdims.offsets[v]
-                + np.arange(xdims[v])[None, :]).ravel()
-        out[rows, col:col + C.shape[1]] = C
-        col += C.shape[1]
-    return out
+def _vertex_blocks(G: Quiver, F, what: str) -> List[np.ndarray]:
+    """blockdiag_v F_i[v] per condition; the blocks at each vertex share one width."""
+    for v in G.vertices:
+        widths = sorted({D[v].shape[1] for D in F})
+        if len(widths) > 1:
+            raise ShapeError(f"{what}s at vertex {v!r} must share one width, got {widths}")
+    return [matcore.block_diag([D[v] for v in G.vertices]) for D in F]
 
 
 def _as_vertex_family(G, D, xdims: Grading, what: str) -> Dict[str, np.ndarray]:

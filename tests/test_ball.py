@@ -99,6 +99,15 @@ class TestPickNcLtoa:
         rb = ball.pick_nc_ltoa(Z, X, Y, series_tol=1e-14)
         rd = disk.pick_ltoa([z[0] for z in Z], X, Y)
         assert np.max(np.abs(rb.pick - rd.pick)) <= 1e-12 + rb.tail_bound
+        # d = 1 is the one-arrow fixed point: exact Stein solve, also for
+        # points of different dimensions
+        Z.insert(0, row_tuple(rng, 2, 1))
+        X.insert(0, cg(rng, 2, 2))
+        Y.insert(0, cg(rng, 2, 2))
+        rb = ball.pick_nc_ltoa(Z, X, Y, budget=1)
+        rd = disk.pick_ltoa([z[0] for z in Z], X, Y)
+        assert (rb.method, rb.tail_bound) == ("stein_solve", 0.0)
+        assert np.max(np.abs(rb.pick - rd.pick)) <= 1e-12
 
     def test_scalar_commuting_closed_form(self):
         rep = ball.pick_nc_ltoa([[np.array([[0.5]]), np.array([[0.5]])]],

@@ -73,6 +73,23 @@ class TestCpCheck:
         B = v.witness["input"]
         assert matcore.min_eigenvalue(B) >= -1e-10
 
+    def test_witness_reproduces_choi_eigenvalue(self):
+        # Choi's witness: the amplified image of the PSD input is the Choi
+        # matrix itself, so its smallest eigenvalue is the Choi one
+        rng = np.random.default_rng(4)
+        V = cg(rng, 3, 3)
+        maps = [LinearMapOnMatrices.from_callable(lambda A: A.T, n) for n in (2, 3)]
+        maps.append(LinearMapOnMatrices.from_callable(
+            lambda A: V @ A @ V.conj().T - 2 * np.trace(A) * np.eye(3), 3))
+        for phi in maps:
+            v = cp.cp_check(phi)
+            assert not v.is_cp
+            w = v.witness
+            assert matcore.min_eigenvalue(w["input"]) >= -1e-14
+            image = cp.amplified_apply(phi, w["input"], w["level"])
+            assert matcore.min_eigenvalue(image) == v.choi_min_eig
+            assert w["output_min_eigenvalue"] == v.choi_min_eig
+
     def test_conditional_expectation_cp_random_gradings(self):
         rng = np.random.default_rng(2)
         for _ in range(5):

@@ -154,6 +154,29 @@ def test_solve_stein_residual_contract():
         P = matcore.solve_stein(A, Q, B)
         res = np.linalg.norm(P - A @ P @ B.conj().T - Q, 2)
         assert res <= 1e-12 * np.linalg.norm(Q, 2)
+    # block stacks (N, n, n) stand for blockdiag and match the dense solve
+    for N, K, n, m in [(3, 2, 2, 3), (4, 4, 3, 3), (1, 5, 2, 1)]:
+        A = rng.normal(size=(N, n, n)) + 1j * rng.normal(size=(N, n, n))
+        B = rng.normal(size=(K, m, m)) + 1j * rng.normal(size=(K, m, m))
+        A *= 0.8 / np.linalg.norm(A, 2, axis=(1, 2))[:, None, None]
+        B *= 0.8 / np.linalg.norm(B, 2, axis=(1, 2))[:, None, None]
+        Q = rng.normal(size=(N * n, K * m)) + 1j * rng.normal(size=(N * n, K * m))
+        P = matcore.solve_stein(A, Q, B)
+        dense = matcore.solve_stein(matcore.block_diag(A), Q, matcore.block_diag(B))
+        assert np.linalg.norm(P - dense) <= 1e-13 * np.linalg.norm(dense)
+
+
+def test_sandwich_rectangular_blocks():
+    rng = np.random.default_rng(8)
+    for (N, m, n), (K, p, q) in [((3, 2, 4), (2, 5, 3)), ((1, 3, 3), (4, 1, 2))]:
+        A = rng.normal(size=(N, m, n)) + 1j * rng.normal(size=(N, m, n))
+        B = rng.normal(size=(K, p, q)) + 1j * rng.normal(size=(K, p, q))
+        P = rng.normal(size=(N * n, K * q)) + 1j * rng.normal(size=(N * n, K * q))
+        dense = matcore.block_diag(A) @ P @ matcore.block_diag(B).conj().T
+        assert np.max(np.abs(matcore.sandwich(A, P, B) - dense)) <= 1e-13
+    # a matrix is a one-block stack
+    A, P, B = A[0], P[:n, :q], B[0]
+    assert np.max(np.abs(matcore.sandwich(A, P, B) - A @ P @ B.conj().T)) <= 1e-13
 
 
 def test_solve_stein_divergence_error():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from picklab import ball, matcore
+from picklab import ball, disk, matcore
 from picklab import quiver as qv
 from picklab.errors import DomainError, PathError, ShapeError
 from picklab.quiver import Grading, Quiver, QuiverPoint
@@ -211,6 +211,14 @@ class TestPickQltoa:
             [x["v"] for x in X], [y["v"] for y in Y], series_tol=1e-14)
         assert np.max(np.abs(repq.pick - repb.pick)) \
             <= 1e-12 + repq.tail_bound + repb.tail_bound
+        # one loop is the disk: the one-arrow fixed point, solved exactly
+        G = loops_quiver(1)
+        points = [oa_point(rng, G, xd) for _ in range(N)]
+        repq = qv.pick_qltoa(G, xd, points, X, Y, budget=1)
+        repd = disk.pick_ltoa([p.blocks["l0"] for p in points],
+                              [x["v"] for x in X], [y["v"] for y in Y])
+        assert (repq.method, repq.tail_bound) == ("stein_solve", 0.0)
+        assert np.max(np.abs(repq.pick - repd.pick)) <= 1e-12
 
     def test_membership_enforced(self):
         G, _, _ = qv.two_vertex_example()
