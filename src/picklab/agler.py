@@ -3,16 +3,18 @@
 The decision is whether the target blocks R(i,j) (1 - f_i conj(f_j) in the
 scalar case, X_i X_j* - Y_i Y_j* in the operator-argument case) can be
 written as sum_k (K_k(i,j) - T_k^(i) K_k(i,j) T_k^(j)*) with every kernel
-K_k positive semidefinite.  The solver alternates projections between the
-affine constraint set (per-block dense least squares, pseudoinverse factored
-once) and the product of PSD cones (eigenvalue clipping), with a Dykstra
-correction on the cone side so the iterates converge into the intersection
-when it is nonempty.  A stable positive gap between the two sets is reported
-as infeasibility evidence.
+K_k positive semidefinite.  The solver runs Dykstra's alternating
+projections on the stack of kernels: onto the affine constraint set (the
+N^2 block systems and their pseudoinverses held as one array each, applied
+batched) and onto the product of PSD cones (batched eigenvalue clipping),
+with the Dykstra correction on the cone side so the iterates converge into
+the intersection when it is nonempty.  A stable positive gap between the
+two sets is reported as infeasibility evidence.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -21,6 +23,7 @@ import numpy as np
 from . import matcore
 from .errors import ArgumentError, BudgetError, DimensionError, DomainError
 from .matcore import as_complex_matrix
+from .reports import stacked_middle
 
 VARIABLE_BUDGET = 20000
 DEFAULT_TOL = 1e-6
@@ -106,49 +109,30 @@ def nc_rd_problem(tuples, values, basis_dim: Optional[int] = None) -> AglerProbl
     """
     tuples = [[as_complex_matrix(T) for T in tup] for tup in tuples]
     values = [as_complex_matrix(W) for W in values]
-    dim = tuples[0][0].shape[0]
-    kappa = basis_dim or dim
-    if kappa != dim:
-        raise DimensionError("basis dimension must equal the tuple space dimension")
-    eye = np.eye(dim, dtype=np.complex128)
-    ex_tuples, ex_dirs, ex_targets = [], [], []
-    for tup, W in zip(tuples, values):
-        for k in range(kappa):
-            ex_tuples.append(tup)
-            ex_dirs.append(eye[:, k:k + 1])
-            ex_targets.append(W @ eye[:, k:k + 1])
+    ex_tuples, ex_dirs, ex_targets = matcore.basis_expansion(
+        tuples, values, tuples[0][0].shape[0], basis_dim)
     return AglerProblem(len(tuples[0]), ex_tuples, ex_dirs, ex_targets,
                         variant="nc_rd")
 
 
 def constraint_rhs(problem: AglerProblem) -> np.ndarray:
     """Hermitian block target [X_i X_j* - Y_i Y_j*]."""
-    N, m = problem.conditions, problem.block_dim
-    R = np.zeros((N * m, N * m), dtype=np.complex128)
-    for i in range(N):
-        for j in range(N):
-            R[i * m:(i + 1) * m, j * m:(j + 1) * m] = (
-                problem.directions[i] @ problem.directions[j].conj().T
-                - problem.targets[i] @ problem.targets[j].conj().T)
-    return matcore.hermitize(R)
+    return matcore.hermitize(
+        stacked_middle(problem.tuples, problem.directions, problem.targets)[2])
 
 
 def apply_constraint(kernels, problem: AglerProblem) -> np.ndarray:
-    """sum_k (K_k(i,j) - T_k^(i) K_k(i,j) T_k^(j)*), blockwise and linear."""
+    """sum_k (K_k - T_k K_k T_k*), T_k the stack of condition blocks T_k^(i)."""
     N, m = problem.conditions, problem.block_dim
     kernels = [as_complex_matrix(K) for K in kernels]
     if len(kernels) != problem.d:
         raise DimensionError(f"need {problem.d} kernels")
-    out = np.zeros((N * m, N * m), dtype=np.complex128)
     for k, K in enumerate(kernels):
         if K.shape != (N * m, N * m):
             raise DimensionError(f"kernel {k} has shape {K.shape}")
-        for i in range(N):
-            for j in range(N):
-                blk = K[i * m:(i + 1) * m, j * m:(j + 1) * m]
-                out[i * m:(i + 1) * m, j * m:(j + 1) * m] += (
-                    blk - problem.tuples[i][k] @ blk @ problem.tuples[j][k].conj().T)
-    return out
+    T = np.array(problem.tuples)
+    return sum(K - matcore.sandwich(T[:, k], K, T[:, k])
+               for k, K in enumerate(kernels))
 
 
 @dataclass(eq=False)
@@ -167,76 +151,21 @@ class AglerReport:
     history: List[float] = field(default_factory=list)
 
 
-class _AffineProjector:
-    """Per-(i,j)-block orthogonal projector onto {apply_constraint(K) = R}."""
-
-    def __init__(self, problem: AglerProblem):
-        N, m, d = problem.conditions, problem.block_dim, problem.d
-        self.N, self.m, self.d = N, m, d
-        self.ops = {}
-        self.pinvs = {}
-        eye = np.eye(m * m, dtype=np.complex128)
-        for i in range(N):
-            for j in range(N):
-                cols = [eye - np.kron(problem.tuples[i][k],
-                                      problem.tuples[j][k].conj())
-                        for k in range(d)]
-                A = np.hstack(cols)
-                self.ops[i, j] = A
-                self.pinvs[i, j] = np.linalg.pinv(A, rcond=1e-12)
-
-    def lstsq_point(self, R: np.ndarray) -> Tuple[List[np.ndarray], float]:
-        """Least-squares solution of the linear system and its residual."""
-        kernels = [np.zeros((self.N * self.m,) * 2, dtype=np.complex128)
-                   for _ in range(self.d)]
-        worst = 0.0
-        for (i, j), A in self.ops.items():
-            r = R[i * self.m:(i + 1) * self.m, j * self.m:(j + 1) * self.m]
-            x = self.pinvs[i, j] @ r.reshape(-1)
-            worst = max(worst, float(np.linalg.norm(A @ x - r.reshape(-1))))
-            for k in range(self.d):
-                kernels[k][i * self.m:(i + 1) * self.m,
-                           j * self.m:(j + 1) * self.m] = (
-                    x[k * self.m * self.m:(k + 1) * self.m * self.m]
-                    .reshape(self.m, self.m))
-        return kernels, worst
-
-    def project(self, kernels, R) -> List[np.ndarray]:
-        out = [K.copy() for K in kernels]
-        for (i, j), A in self.ops.items():
-            sl_i = slice(i * self.m, (i + 1) * self.m)
-            sl_j = slice(j * self.m, (j + 1) * self.m)
-            x = np.concatenate([out[k][sl_i, sl_j].reshape(-1)
-                                for k in range(self.d)])
-            resid = A @ x - R[sl_i, sl_j].reshape(-1)
-            x = x - self.pinvs[i, j] @ resid
-            for k in range(self.d):
-                out[k][sl_i, sl_j] = (
-                    x[k * self.m * self.m:(k + 1) * self.m * self.m]
-                    .reshape(self.m, self.m))
-        return out
+def _blocks(S: np.ndarray, N: int, m: int) -> np.ndarray:
+    """A stack (d, N m, N m) as per-(i, j)-block vectors (N, N, d m^2),
+    kernel-major and row-major within a block."""
+    return S.reshape(-1, N, m, N, m).transpose(1, 3, 0, 2, 4).reshape(N, N, -1)
 
 
-def _project_psd(kernels) -> List[np.ndarray]:
-    out = []
-    for K in kernels:
-        H = matcore.hermitize(K)
-        lam, V = np.linalg.eigh(H)
-        lam = np.clip(lam, 0.0, None)
-        out.append((V * lam) @ V.conj().T)
-    return out
+def _stack(x: np.ndarray, N: int, m: int) -> np.ndarray:
+    """Inverse of :func:`_blocks`."""
+    return x.reshape(N, N, -1, m, m).transpose(2, 0, 3, 1, 4).reshape(-1, N * m, N * m)
 
 
-def _psd_violation(kernels) -> float:
-    total = 0.0
-    for K in kernels:
-        lam = np.linalg.eigvalsh(matcore.hermitize(K))
-        total += float(np.sum(np.minimum(lam, 0.0) ** 2))
-    return float(np.sqrt(total))
-
-
-def _stack_norm(As, Bs) -> float:
-    return float(np.sqrt(sum(np.linalg.norm(A - B) ** 2 for A, B in zip(As, Bs))))
+def _certificate(problem, kernels, it) -> AglerCertificate:
+    return AglerCertificate(list(matcore.hermitize(kernels)),
+                            residual_norm=residual_norm(problem, kernels),
+                            iterations=it)
 
 
 def solve_feasibility(problem: AglerProblem, tol: float = DEFAULT_TOL,
@@ -244,54 +173,69 @@ def solve_feasibility(problem: AglerProblem, tol: float = DEFAULT_TOL,
                       keep_history: bool = False) -> AglerReport:
     """Decide Agler-decomposability by Dykstra-corrected alternating projections.
 
+    The kernels are one stack (d, N m, N m).  Block (i, j) of the constraint
+    is A_ij x_ij = r_ij, with x_ij the d kernels' (i, j) blocks as one vector
+    and A_ij = [I - T_1^(i) (x) conj(T_1^(j)), ..., I - T_d^(i) (x)
+    conj(T_d^(j))]; all N^2 systems and their pseudoinverses are one array
+    each, so a step is one batched eigh (PSD projection), two batched
+    products (affine projection) and one batched eigvalsh (PSD violation).
+
     feasible_with_certificate: an iterate satisfies both the affine
     constraint and positivity within tol.  infeasible_evidence: the affine
     least-squares system itself is inconsistent, or the inter-set gap
     (distance between consecutive projected iterates) stabilizes above
     10*tol over a 500-iteration window.  unknown otherwise.
     """
-    nvar = problem.d * (problem.conditions * problem.block_dim) ** 2
+    N, m, d = problem.conditions, problem.block_dim, problem.d
+    nvar = d * (N * m) ** 2
     if nvar > VARIABLE_BUDGET:
         raise BudgetError(
             f"variable dimension {nvar} exceeds the dense-operator budget "
             f"{VARIABLE_BUDGET}")
     R = constraint_rhs(problem)
-    proj = _AffineProjector(problem)
+    r = _blocks(R, N, m)
+    T = np.array(problem.tuples)
+    A = np.tile(np.eye(m * m), d) - np.einsum(
+        "ikac,jkbe->ijabkce", T, T.conj()).reshape(N, N, m * m, d * m * m)
+    A_pinv = np.linalg.pinv(A, rcond=1e-12)
     scale = max(float(np.linalg.norm(R)), 1.0)
-    x, lin_residual = proj.lstsq_point(R)
+    x = np.einsum("ijab,ijb->ija", A_pinv, r)
+    lin_residual = float(np.linalg.norm(
+        np.einsum("ijab,ijb->ija", A, x) - r, axis=-1).max())
     if lin_residual > tol * scale:
         return AglerReport("infeasible_evidence", None,
-                           gap_estimate=float(lin_residual), iterations=0)
-    corr = [np.zeros_like(K) for K in x]
+                           gap_estimate=lin_residual, iterations=0)
+    K = _stack(x, N, m)
+    corr = np.zeros_like(K)
     history: List[float] = []
-    gaps: List[float] = []
+    gaps: deque = deque(maxlen=_GAP_WINDOW)
     for it in range(1, max_iter + 1):
-        shifted = [K + P for K, P in zip(x, corr)]
-        y = _project_psd(shifted)
-        corr = [S - Y for S, Y in zip(shifted, y)]
-        x = proj.project(y, R)
-        gap = _stack_norm(x, y)
+        shifted = K + corr
+        lam, V = np.linalg.eigh(matcore.hermitize(shifted))
+        Y = (V * np.clip(lam, 0.0, None)[:, None, :]) @ V.conj().swapaxes(1, 2)
+        corr = shifted - Y
+        y = _blocks(Y, N, m)
+        resid = np.einsum("ijab,ijb->ija", A, y) - r
+        x = y - np.einsum("ijab,ijb->ija", A_pinv, resid)
+        K = _stack(x, N, m)
+        gap = float(np.linalg.norm(x - y))
         gaps.append(gap)
+        # combined squared distance at the affine iterate: the affine
+        # residual vanishes there, so only the PSD violation remains
+        violation = float(np.sqrt(np.sum(
+            np.minimum(np.linalg.eigvalsh(matcore.hermitize(K)), 0.0) ** 2)))
         if keep_history:
-            # combined squared distance at the affine iterate: the affine
-            # residual vanishes there, so only the PSD violation remains
-            history.append(_psd_violation(x))
-        viol_x = _psd_violation(x)
-        if viol_x <= tol:
-            cert = AglerCertificate([matcore.hermitize(K) for K in x],
-                                    residual_norm=residual_norm(problem, x),
-                                    iterations=it)
-            return AglerReport("feasible_with_certificate", cert,
+            history.append(violation)
+        if violation <= tol:
+            return AglerReport("feasible_with_certificate",
+                               _certificate(problem, K, it),
                                gap_estimate=gap, iterations=it, history=history)
-        resid_y = float(np.linalg.norm(apply_constraint(y, problem) - R))
-        if resid_y <= tol:
-            cert = AglerCertificate([matcore.hermitize(K) for K in y],
-                                    residual_norm=resid_y, iterations=it)
-            return AglerReport("feasible_with_certificate", cert,
+        if np.linalg.norm(resid) <= tol:
+            return AglerReport("feasible_with_certificate",
+                               _certificate(problem, Y, it),
                                gap_estimate=gap, iterations=it, history=history)
-        if len(gaps) >= _GAP_WINDOW:
-            window = gaps[-_GAP_WINDOW:]
-            lo, hi = min(window), max(window)
+        if len(gaps) == _GAP_WINDOW:
+            lo, hi = min(gaps), max(gaps)
             if lo > 10 * tol and hi - lo <= max(tol, 1e-3 * lo):
                 return AglerReport("infeasible_evidence", None,
                                    gap_estimate=gap, iterations=it,

@@ -272,16 +272,7 @@ def pick_nc_frd(operator_points, values, basis_dim: Optional[int] = None,
     for Z, Wi in zip(Zs, W):
         if Z.dim != dim or Wi.shape != (dim, dim):
             raise DimensionError("values and tuples must share one square dimension")
-    kappa = basis_dim or dim
-    if kappa != dim:
-        raise DimensionError("basis dimension must equal the tuple space dimension")
-    eye = np.eye(dim, dtype=np.complex128)
-    ex_points, ex_dirs, ex_targets = [], [], []
-    for Z, Wi in zip(Zs, W):
-        for k in range(kappa):
-            ex_points.append(Z)
-            ex_dirs.append(eye[:, k:k + 1])
-            ex_targets.append(Wi @ eye[:, k:k + 1])
+    ex_points, ex_dirs, ex_targets = matcore.basis_expansion(Zs, W, dim, basis_dim)
     return pick_nc_ltoa(ex_points, ex_dirs, ex_targets, tol, series_tol, budget)
 
 

@@ -74,9 +74,7 @@ class LinearMapOnMatrices:
         """self after inner (unit images pushed through inner first)."""
         if inner.out_dim != self.in_dim:
             raise DimensionError("composition dimensions do not match")
-        images = np.array([[self(inner.unit_images[i, j])
-                            for j in range(inner.in_dim)]
-                           for i in range(inner.in_dim)])
+        images = np.einsum("ijab,abxy->ijxy", inner.unit_images, self.unit_images)
         return LinearMapOnMatrices(inner.in_dim, self.out_dim, images)
 
 
@@ -131,12 +129,8 @@ def amplified_apply(phi: LinearMapOnMatrices, B: np.ndarray, k: int) -> np.ndarr
     n, m = phi.in_dim, phi.out_dim
     if B.shape != (n * k, n * k):
         raise DimensionError(f"amplified argument has shape {B.shape}")
-    out = np.zeros((m * k, m * k), dtype=np.complex128)
-    for a in range(k):
-        for b in range(k):
-            out[a * m:(a + 1) * m, b * m:(b + 1) * m] = phi(
-                B[a * n:(a + 1) * n, b * n:(b + 1) * n])
-    return out
+    out = np.einsum("aibj,ijxy->axby", B.reshape(k, n, k, n), phi.unit_images)
+    return out.reshape(m * k, m * k)
 
 
 def cp_check(phi: LinearMapOnMatrices, tol="auto") -> CpVerdict:
@@ -159,20 +153,7 @@ def cp_check(phi: LinearMapOnMatrices, tol="auto") -> CpVerdict:
 
 def conditional_expectation_map(block_dims: Sequence[int]) -> LinearMapOnMatrices:
     """Compression to the block diagonal of the given decomposition."""
-    dims = [int(b) for b in block_dims]
-    if any(b < 0 for b in dims) or sum(dims) <= 0:
-        raise ArgumentError("block dimensions must be nonnegative with positive sum")
-    n = sum(dims)
-    bounds = np.concatenate([[0], np.cumsum(dims)])
-    block_of = np.zeros(n, dtype=int)
-    for b in range(len(dims)):
-        block_of[bounds[b]:bounds[b + 1]] = b
-    images = np.zeros((n, n, n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            if block_of[i] == block_of[j]:
-                images[i, j, i, j] = 1.0
-    return LinearMapOnMatrices(n, n, images)
+    return blockwise_conditional_expectation(block_dims, 1)
 
 
 def build_phi_disk(operator_points, directions, targets) -> LinearMapOnMatrices:
@@ -309,17 +290,13 @@ def blockwise_conditional_expectation(block_dims: Sequence[int],
     amplification of a conditional expectation, hence completely positive.
     """
     dims = [int(b) for b in block_dims]
-    n = sum(dims)
-    bounds = np.concatenate([[0], np.cumsum(dims)])
-    block_of = np.zeros(n, dtype=int)
-    for b in range(len(dims)):
-        block_of[bounds[b]:bounds[b + 1]] = b
-    total = copies * n
+    if any(b < 0 for b in dims) or sum(dims) <= 0:
+        raise ArgumentError("block dimensions must be nonnegative with positive sum")
+    block_of = np.tile(np.repeat(np.arange(len(dims)), dims), copies)
+    total = block_of.size
+    r, c = np.nonzero(block_of[:, None] == block_of[None, :])
     images = np.zeros((total, total, total, total), dtype=np.complex128)
-    for r in range(total):
-        for c in range(total):
-            if block_of[r % n] == block_of[c % n]:
-                images[r, c, r, c] = 1.0
+    images[r, c, r, c] = 1.0
     return LinearMapOnMatrices(total, total, images)
 
 

@@ -54,9 +54,10 @@ def _require_square(A: np.ndarray, what: str = "matrix") -> np.ndarray:
 
 
 def hermitize(M) -> np.ndarray:
-    """(M + M*)/2.  Idempotent on Hermitian input."""
-    A = _require_square(as_complex_matrix(M))
-    return (A + A.conj().T) / 2.0
+    """(M + M*)/2 of a matrix, or of each block of a stack (N, n, n).
+    Idempotent on Hermitian input."""
+    A = M if np.ndim(M) == 3 else _require_square(as_complex_matrix(M))
+    return (A + A.conj().swapaxes(-1, -2)) / 2.0
 
 
 def min_eigenvalue(H) -> float:
@@ -260,6 +261,20 @@ def as_point_rows(points) -> np.ndarray:
         raise DimensionError(
             f"points must be a list of coordinate lists, got ndim={pts.ndim}")
     return pts
+
+
+def basis_expansion(points, values, dim: int, basis_dim=None):
+    """Functional-calculus data as operator-argument data over a basis.
+
+    Condition (i, k), k < dim, carries point i, direction e_k and target
+    W_i e_k; returns the expanded points, directions and targets, point-major.
+    basis_dim, when given, must equal dim.
+    """
+    if (basis_dim or dim) != dim:
+        raise DimensionError("basis dimension must equal the tuple space dimension")
+    basis = list(np.eye(dim, dtype=np.complex128)[:, :, None])
+    return ([p for p in points for _ in basis], basis * len(points),
+            [W @ e for W in values for e in basis])
 
 
 def required_levels(r: float, norm0: float, series_tol: float) -> int:

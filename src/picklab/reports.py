@@ -68,7 +68,9 @@ def stacked_middle(letters, X, Y):
     """Shape checks of a fixed-point criterion; X_i, Y_i and M = Xs Xs* - Ys Ys*.
 
     Condition i's directions X_i and targets Y_i map into the space of its
-    arrow blocks letters[i], and every condition has the same arrows.
+    arrow blocks letters[i], and every condition has the same arrows.  M is
+    also the target of the Agler constraint, with letters[i] condition i's
+    polydisk tuple.
     """
     X = [matcore.as_complex_matrix(M) for M in X]
     Y = [matcore.as_complex_matrix(M) for M in Y]

@@ -60,6 +60,26 @@ class TestConstraintPieces:
         assert np.max(np.abs(agler.apply_constraint([K1, K2], prob)
                              - (K1 + K2))) <= 1e-14
 
+    def test_stacked_pieces_match_per_block_loop(self):
+        rng = np.random.default_rng(9)
+        N, m, d = 3, 2, 2
+        T = [[contraction(rng, m) for _ in range(d)] for _ in range(N)]
+        X = [cg(rng, m, 3) for _ in range(N)]
+        Y = [0.3 * cg(rng, m, 3) for _ in range(N)]
+        prob = agler.nc_ltoa_problem(T, X, Y)
+        Ks = [cg(rng, N * m, N * m) for _ in range(d)]
+        apply_ref = np.zeros((N * m, N * m), dtype=complex)
+        rhs_ref = np.zeros((N * m, N * m), dtype=complex)
+        for i in range(N):
+            for j in range(N):
+                blk = (slice(i * m, (i + 1) * m), slice(j * m, (j + 1) * m))
+                rhs_ref[blk] = X[i] @ X[j].conj().T - Y[i] @ Y[j].conj().T
+                for k in range(d):
+                    apply_ref[blk] += (Ks[k][blk]
+                                       - T[i][k] @ Ks[k][blk] @ T[j][k].conj().T)
+        assert np.max(np.abs(agler.apply_constraint(Ks, prob) - apply_ref)) <= 1e-13
+        assert np.max(np.abs(agler.constraint_rhs(prob) - rhs_ref)) <= 1e-13
+
     def test_linearity(self):
         prob = agler.scalar_problem(FEASIBLE_POINTS, FEASIBLE_VALUES)
         rng = np.random.default_rng(3)

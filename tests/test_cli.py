@@ -92,13 +92,19 @@ class TestExitCodes:
 
     def test_ragged_agler_points_is_data_error(self, tmp_path, capsys):
         z = [0.1, 0.0]
+        one, wide = [[z]], [[z, [0.0, 0.0]]]
         p = tmp_path / "req.json"
-        p.write_text(json.dumps({
-            "schema_version": "1", "setting": "polydisk.agler_scalar",
-            "payload": {"points": [[z, z], [z]], "values": [z, z]}}))
-        code, doc = run_cli(["agler", str(p)], capsys)
-        assert code == 65
-        assert doc["error"]["code"] == "DimensionError"
+        for setting, payload in [
+                ("polydisk.agler_scalar", {"points": [[z, z], [z]], "values": [z, z]}),
+                # directions of widths 1 and 2
+                ("polydisk.agler_ltoa", {"operator_points": [[one, one]] * 2,
+                                         "directions": [one, wide],
+                                         "targets": [one, wide]})]:
+            p.write_text(json.dumps({"schema_version": "1", "setting": setting,
+                                     "payload": payload}))
+            code, doc = run_cli(["agler", str(p)], capsys)
+            assert code == 65
+            assert doc["error"]["code"] == "DimensionError"
 
     def test_agler_exit_codes(self, capsys):
         code, doc = run_cli(["agler", str(FIXTURES / "agler_bidisk_feasible.json")],
@@ -124,15 +130,19 @@ class TestExitCodes:
 
 class TestDeterminism:
     def test_check_reports_byte_identical_modulo_timings(self, capsys):
-        docs = []
-        for _ in range(2):
-            code, doc = run_cli(
-                ["check", str(FIXTURES / "quiver_qltoa_two_vertex.json"),
-                 "--seed", "7"], capsys)
-            assert code == 0
-            doc.pop("timings_ms")
-            docs.append(json.dumps(doc, sort_keys=True))
-        assert docs[0] == docs[1]
+        for argv, expect in [
+                (["check", str(FIXTURES / "quiver_qltoa_two_vertex.json"),
+                  "--seed", "7"], 0),
+                (["agler", str(FIXTURES / "agler_bidisk_feasible.json"),
+                  "--embed-certificate"], 0),
+                (["agler", str(FIXTURES / "agler_forced_infeasible.json")], 1)]:
+            docs = []
+            for _ in range(2):
+                code, doc = run_cli(argv, capsys)
+                assert code == expect
+                doc.pop("timings_ms")
+                docs.append(json.dumps(doc, sort_keys=True))
+            assert docs[0] == docs[1]
 
     def test_sample_deterministic(self, capsys):
         outs = []
