@@ -22,7 +22,8 @@ def run(argv):
     return code, json.loads(buf.getvalue())
 
 
-workdir = Path(tempfile.mkdtemp())
+tmp = tempfile.TemporaryDirectory()
+workdir = Path(tmp.name)
 
 # --- a disk request -----------------------------------------------------
 request = {
@@ -79,3 +80,5 @@ code, summary = run(["necessity", "quiver.qltoa", "--trials", "5",
                      "--seed", "1"])
 print("\nnecessity quiver.qltoa: pass =", summary["passed"],
       "| worst margin = %.2e" % summary["worst_margin"])
+
+tmp.cleanup()

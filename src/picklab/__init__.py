@@ -6,9 +6,14 @@ algebras of directed graphs (quivers), semidefinite Agler decompositions on
 the polydisk, and the complete-positivity (Choi-matrix) route to the same
 verdicts.  A sampling oracle produces certified Schur-class elements for
 necessity testing, and a JSON CLI exposes every criterion.
+
+The setting modules (agler, ball, cp, disk, oracle, quiver) are imported on
+first attribute access, so a CLI call loads only the one it runs.
 """
 
-from . import agler, ball, cp, disk, matcore, oracle, quiver
+import importlib
+
+from . import matcore
 from .matcore import (
     hermitize,
     is_psd,
@@ -39,3 +44,11 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+_LAZY = frozenset({"agler", "ball", "cp", "disk", "oracle", "quiver"})
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -8,19 +8,18 @@ budget exceeded, 64 usage error, 65 data error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
+import numbers
+import reprlib
 import sys
 import time
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
-from . import agler as agler_mod
-from . import ball as ball_mod
-from . import config, cp, disk, matcore, necessity, oracle
-from . import quiver as quiver_mod
+from . import config, matcore
 from . import serialize as ser
 from .errors import BudgetError, PicklabError
 
@@ -34,13 +33,150 @@ EXIT_DATA = 65
 _REPORT_VERSION = "1"
 
 
-def _load_schema(name: str) -> dict:
+class ValidationError(PicklabError, ValueError):
+    """A document fails its schema; `path` is the JSON pointer of the
+    failing value ("/" for the document itself)."""
+
+    def __init__(self, message, path):
+        super().__init__(message)
+        self.path = path
+
+
+# Draft 2020-12 types: bool is not a number, and 1.0 is an integer.
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "boolean": lambda x: isinstance(x, bool),
+    "null": lambda x: x is None,
+    "number": lambda x: isinstance(x, numbers.Number) and not isinstance(x, bool),
+    "integer": lambda x: (isinstance(x, int) and not isinstance(x, bool)
+                          or isinstance(x, float) and x.is_integer()),
+}
+_KEYWORDS = frozenset({
+    "type", "required", "properties", "additionalProperties", "const", "enum",
+    "anyOf", "allOf", "if", "then", "minimum", "maximum", "items", "minItems",
+    "maxItems", "$ref"})
+_ANNOTATIONS = frozenset({"$schema", "$id", "title", "description", "$defs"})
+_DEFS = "#/$defs/"
+
+
+def _check_keywords(schema, defs) -> None:
+    """Refuse a schema that uses anything :func:`_errors` does not implement."""
+    if isinstance(schema, bool):
+        return
+    unknown = schema.keys() - _KEYWORDS - _ANNOTATIONS
+    if unknown:
+        raise ValueError(f"unsupported schema keywords {sorted(unknown)}")
+    types = schema.get("type", [])
+    if set([types] if isinstance(types, str) else types) - _TYPES.keys():
+        raise ValueError(f"unsupported schema type {types!r}")
+    ref = schema.get("$ref")
+    if ref is not None and not (ref.startswith(_DEFS) and ref[len(_DEFS):] in defs):
+        raise ValueError(f"unsupported schema reference {ref!r}")
+    subschemas = [*schema.get("properties", {}).values(),
+                  *schema.get("$defs", {}).values(),
+                  *schema.get("anyOf", []), *schema.get("allOf", []),
+                  *(schema[k] for k in ("additionalProperties", "items", "if", "then")
+                    if k in schema)]
+    for sub in subschemas:
+        _check_keywords(sub, defs)
+
+
+def _json_equal(a, b) -> bool:
+    """JSON equality: true != 1, 1 == 1.0, recursively."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return a is b
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_json_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_json_equal(a[k], b[k]) for k in a)
+    return a == b
+
+
+def _errors(inst, schema, defs, path=()):
+    """Yield (path, message) for each failure of `inst` under `schema`, in
+    keyword order; keywords that do not apply to its type are skipped."""
+    if schema is False:
+        yield path, "no value is allowed here"
+    if isinstance(schema, bool):
+        return
+    for key, arg in schema.items():
+        if key == "type":
+            types = [arg] if isinstance(arg, str) else arg
+            if not any(_TYPES[t](inst) for t in types):
+                yield path, f"{reprlib.repr(inst)} is not of type {' or '.join(types)}"
+        elif key in ("const", "enum"):
+            allowed = [arg] if key == "const" else arg
+            if not any(_json_equal(inst, a) for a in allowed):
+                yield path, f"{reprlib.repr(inst)} is not one of {allowed!r}"
+        elif key == "$ref":
+            yield from _errors(inst, defs[arg[len(_DEFS):]], defs, path)
+        elif key == "allOf":
+            for sub in arg:
+                yield from _errors(inst, sub, defs, path)
+        elif key == "anyOf":
+            if all(_fails(inst, sub, defs) for sub in arg):
+                yield path, (f"{reprlib.repr(inst)} is not valid under any of "
+                             f"the given schemas")
+        elif key == "if":
+            if not _fails(inst, arg, defs):
+                yield from _errors(inst, schema.get("then", True), defs, path)
+        elif isinstance(inst, dict):
+            if key == "required":
+                for name in arg:
+                    if name not in inst:
+                        yield path, f"{name!r} is a required property"
+            elif key == "properties":
+                for name, sub in arg.items():
+                    if name in inst:
+                        yield from _errors(inst[name], sub, defs, path + (name,))
+            elif key == "additionalProperties":
+                known = schema.get("properties", {})
+                for name in [name for name in inst if name not in known]:
+                    if arg is False:
+                        yield path, f"additional property {name!r} is not allowed"
+                    else:
+                        yield from _errors(inst[name], arg, defs, path + (name,))
+        elif isinstance(inst, list):
+            if key == "items":
+                for i, item in enumerate(inst):
+                    yield from _errors(item, arg, defs, path + (i,))
+            elif key == "minItems" and len(inst) < arg:
+                yield path, f"{reprlib.repr(inst)} has fewer than {arg} items"
+            elif key == "maxItems" and len(inst) > arg:
+                yield path, f"{reprlib.repr(inst)} has more than {arg} items"
+        elif _TYPES["number"](inst):
+            if key == "minimum" and inst < arg:
+                yield path, f"{reprlib.repr(inst)} is less than the minimum of {arg}"
+            elif key == "maximum" and inst > arg:
+                yield path, f"{reprlib.repr(inst)} is greater than the maximum of {arg}"
+
+
+def _fails(inst, schema, defs) -> bool:
+    return next(_errors(inst, schema, defs), None) is not None
+
+
+@functools.lru_cache(maxsize=None)
+def _schema(name: str) -> dict:
+    """A packaged schema, loaded once and checked to use only the keywords
+    :func:`_errors` implements."""
     with resources.files("picklab.schemas").joinpath(name).open("rb") as fh:
-        return json.load(fh)
+        schema = json.load(fh)
+    _check_keywords(schema, schema.get("$defs", {}))
+    return schema
 
 
 def validate_document(doc: dict, schema_name: str) -> None:
-    jsonschema.validate(doc, _load_schema(schema_name))
+    """Raise ValidationError if `doc` fails the packaged schema `schema_name`
+    (JSON Schema draft 2020-12 semantics for the keywords the packaged
+    schemas use).  Of several failures the shallowest is reported, the
+    first in keyword order among equals."""
+    schema = _schema(schema_name)
+    errors = list(_errors(doc, schema, schema.get("$defs", {})))
+    if errors:
+        path, message = min(errors, key=lambda e: len(e[0]))
+        raise ValidationError(message, "/" + "/".join(map(str, path)))
 
 
 def _emit(doc: dict) -> None:
@@ -66,7 +202,7 @@ class _DataError(Exception):
 
 
 _KNOWN_SETTINGS = frozenset(
-    _load_schema("request.schema.json")["properties"]["setting"]["enum"])
+    _schema("request.schema.json")["properties"]["setting"]["enum"])
 
 
 def _read_request(input_path: str):
@@ -86,9 +222,8 @@ def _read_request(input_path: str):
         raise _Usage(f"unknown setting {doc['setting']!r}")
     try:
         validate_document(doc, "request.schema.json")
-    except jsonschema.ValidationError as exc:
-        raise _DataError(f"request does not validate: {exc.message}",
-                         "/" + "/".join(str(p) for p in exc.absolute_path))
+    except ValidationError as exc:
+        raise _DataError(f"request does not validate: {exc}", exc.path)
     return doc, raw
 
 
@@ -122,59 +257,68 @@ def _series_budget(opts, per_level: int) -> int:
 
 def _dispatch_check(setting: str, payload: dict, opts: dict):
     tol = _tol_value(opts)
-    if setting == "disk.fov":
-        return disk.pick_fov([ser.complex_from_json(z) for z in payload["points"]],
-                             ser.matrices_from_json(payload["values"]), tol)
-    if setting in ("disk.lt", "disk.rt"):
-        fn = disk.pick_lt if setting.endswith("lt") else disk.pick_rt
-        return fn([ser.complex_from_json(z) for z in payload["points"]],
-                  ser.matrices_from_json(payload["directions"]),
-                  ser.matrices_from_json(payload["targets"]), tol)
-    if setting in ("disk.ltoa", "disk.rtoa"):
-        fn = disk.pick_ltoa if setting.endswith("ltoa") else disk.pick_rtoa
-        return fn(ser.matrices_from_json(payload["operator_points"]),
-                  ser.matrices_from_json(payload["directions"]),
-                  ser.matrices_from_json(payload["targets"]), tol)
-    if setting == "disk.frd":
-        return disk.pick_frd(ser.matrices_from_json(payload["operator_points"]),
-                             ser.matrices_from_json(payload["values"]),
-                             payload.get("basis_dim"), tol)
-    if setting in ("disk.ltrd", "disk.rtrd"):
-        fn = disk.pick_ltrd if setting.endswith("ltrd") else disk.pick_rtrd
-        return fn(ser.matrices_from_json(payload["operator_points"]),
-                  ser.matrices_from_json(payload["directions"]),
-                  ser.matrices_from_json(payload["targets"]),
-                  payload.get("basis_dim"), tol)
-    if setting == "disk.nevanlinna_rd":
-        return disk.nevanlinna_rd_check(
-            ser.matrix_from_json(payload["operator_point"]),
-            ser.matrix_from_json(payload["value"]), tol=tol)
-    if setting == "ball.da_fov":
-        pts = [[ser.complex_from_json(z) for z in row] for row in payload["points"]]
-        return ball_mod.pick_da_fov(pts, ser.matrices_from_json(payload["values"]), tol)
-    if setting == "ball.da_lt":
-        pts = [[ser.complex_from_json(z) for z in row] for row in payload["points"]]
-        return ball_mod.pick_da_lt(pts,
-                                   ser.matrices_from_json(payload["directions"]),
-                                   ser.matrices_from_json(payload["targets"]), tol)
-    if setting in ("ball.da_ltoa", "ball.nc_ltoa"):
-        tuples = [ser.matrices_from_json(t) for t in payload["operator_points"]]
-        X = ser.matrices_from_json(payload["directions"])
-        Y = ser.matrices_from_json(payload["targets"])
-        budget = _series_budget(opts, len(tuples[0]))
-        if setting == "ball.nc_ltoa":
-            return ball_mod.pick_nc_ltoa(tuples, X, Y, tol, budget=budget)
-        return ball_mod.pick_da_ltoa(
-            tuples, X, Y, tol, budget=budget,
-            literal_unweighted=bool(opts.get("literal_unweighted", False)))
-    if setting in ("ball.nc_frd", "ball.nc_frd_star"):
-        tuples = [ser.matrices_from_json(t) for t in payload["operator_points"]]
-        W = ser.matrices_from_json(payload["values"])
-        budget = _series_budget(opts, len(tuples[0]))
-        fn = (ball_mod.pick_nc_frd if setting.endswith("frd")
-              else ball_mod.pick_nc_frd_star)
-        return fn(tuples, W, payload.get("basis_dim"), tol, budget=budget)
+    if setting.startswith("disk."):
+        from . import disk
+
+        if setting == "disk.fov":
+            return disk.pick_fov([ser.complex_from_json(z) for z in payload["points"]],
+                                 ser.matrices_from_json(payload["values"]), tol)
+        if setting in ("disk.lt", "disk.rt"):
+            fn = disk.pick_lt if setting.endswith("lt") else disk.pick_rt
+            return fn([ser.complex_from_json(z) for z in payload["points"]],
+                      ser.matrices_from_json(payload["directions"]),
+                      ser.matrices_from_json(payload["targets"]), tol)
+        if setting in ("disk.ltoa", "disk.rtoa"):
+            fn = disk.pick_ltoa if setting.endswith("ltoa") else disk.pick_rtoa
+            return fn(ser.matrices_from_json(payload["operator_points"]),
+                      ser.matrices_from_json(payload["directions"]),
+                      ser.matrices_from_json(payload["targets"]), tol)
+        if setting == "disk.frd":
+            return disk.pick_frd(ser.matrices_from_json(payload["operator_points"]),
+                                 ser.matrices_from_json(payload["values"]),
+                                 payload.get("basis_dim"), tol)
+        if setting in ("disk.ltrd", "disk.rtrd"):
+            fn = disk.pick_ltrd if setting.endswith("ltrd") else disk.pick_rtrd
+            return fn(ser.matrices_from_json(payload["operator_points"]),
+                      ser.matrices_from_json(payload["directions"]),
+                      ser.matrices_from_json(payload["targets"]),
+                      payload.get("basis_dim"), tol)
+        if setting == "disk.nevanlinna_rd":
+            return disk.nevanlinna_rd_check(
+                ser.matrix_from_json(payload["operator_point"]),
+                ser.matrix_from_json(payload["value"]), tol=tol)
+    if setting.startswith("ball."):
+        from . import ball as ball_mod
+
+        if setting == "ball.da_fov":
+            pts = [[ser.complex_from_json(z) for z in row] for row in payload["points"]]
+            return ball_mod.pick_da_fov(pts, ser.matrices_from_json(payload["values"]),
+                                        tol)
+        if setting == "ball.da_lt":
+            pts = [[ser.complex_from_json(z) for z in row] for row in payload["points"]]
+            return ball_mod.pick_da_lt(pts,
+                                       ser.matrices_from_json(payload["directions"]),
+                                       ser.matrices_from_json(payload["targets"]), tol)
+        if setting in ("ball.da_ltoa", "ball.nc_ltoa"):
+            tuples = [ser.matrices_from_json(t) for t in payload["operator_points"]]
+            X = ser.matrices_from_json(payload["directions"])
+            Y = ser.matrices_from_json(payload["targets"])
+            budget = _series_budget(opts, len(tuples[0]))
+            if setting == "ball.nc_ltoa":
+                return ball_mod.pick_nc_ltoa(tuples, X, Y, tol, budget=budget)
+            return ball_mod.pick_da_ltoa(
+                tuples, X, Y, tol, budget=budget,
+                literal_unweighted=bool(opts.get("literal_unweighted", False)))
+        if setting in ("ball.nc_frd", "ball.nc_frd_star"):
+            tuples = [ser.matrices_from_json(t) for t in payload["operator_points"]]
+            W = ser.matrices_from_json(payload["values"])
+            budget = _series_budget(opts, len(tuples[0]))
+            fn = (ball_mod.pick_nc_frd if setting.endswith("frd")
+                  else ball_mod.pick_nc_frd_star)
+            return fn(tuples, W, payload.get("basis_dim"), tol, budget=budget)
     if setting.startswith("quiver."):
+        from . import quiver as quiver_mod
+
         G = ser.quiver_from_json(payload["quiver"])
         dims = ser.grading_from_json(G, payload["quiver"]["dims"])
         budget = _series_budget(opts, len(G.arrows))
@@ -273,7 +417,9 @@ def cmd_check(args) -> int:
                    started)
 
 
-def _agler_problem(setting: str, payload: dict) -> agler_mod.AglerProblem:
+def _agler_problem(setting: str, payload: dict):
+    from . import agler as agler_mod
+
     if setting == "polydisk.agler_scalar":
         pts = [[ser.complex_from_json(z) for z in row] for row in payload["points"]]
         vals = [ser.complex_from_json(z) for z in payload["values"]]
@@ -292,6 +438,8 @@ def _agler_problem(setting: str, payload: dict) -> agler_mod.AglerProblem:
 
 
 def cmd_agler(args) -> int:
+    from . import agler as agler_mod
+
     started = time.monotonic()
     doc, raw = _read_request(args.input)
     setting = doc["setting"]
@@ -322,6 +470,8 @@ def cmd_agler(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    from . import oracle
+
     kind = args.kind
     seed = args.seed if args.seed is not None else 0
     if kind == "disk.blaschke":
@@ -362,6 +512,11 @@ def cmd_sample(args) -> int:
 
 
 def cmd_necessity(args) -> int:
+    from . import necessity
+
+    if args.setting not in necessity.SETTINGS:
+        raise _Usage(f"unknown necessity setting {args.setting!r}; "
+                     f"choose from {', '.join(necessity.SETTINGS)}")
     started = time.monotonic()
     res = necessity.run_suite(args.setting, args.trials, args.seed or 0)
     doc = {
@@ -380,7 +535,9 @@ def cmd_necessity(args) -> int:
     return EXIT_FEASIBLE if res.passed else EXIT_INFEASIBLE
 
 
-def _read_map(path: str) -> cp.LinearMapOnMatrices:
+def _read_map(path: str):
+    from . import cp
+
     try:
         with open(path, "rb") as fh:
             doc = json.loads(fh.read())
@@ -388,8 +545,8 @@ def _read_map(path: str) -> cp.LinearMapOnMatrices:
         raise _DataError(f"cannot read map: {exc}", path)
     try:
         validate_document(doc, "map.schema.json")
-    except jsonschema.ValidationError as exc:
-        raise _DataError(f"map does not validate: {exc.message}")
+    except ValidationError as exc:
+        raise _DataError(f"map does not validate: {exc}", exc.path)
     n, m = doc["in_dim"], doc["out_dim"]
     images = np.zeros((n, n, m, m), dtype=np.complex128)
     for i in range(n):
@@ -399,6 +556,8 @@ def _read_map(path: str) -> cp.LinearMapOnMatrices:
 
 
 def cmd_choi(args) -> int:
+    from . import cp
+
     phi = _read_map(args.input)
     C = cp.choi_matrix(phi)
     _emit({"schema_version": _REPORT_VERSION,
@@ -408,6 +567,8 @@ def cmd_choi(args) -> int:
 
 
 def cmd_cpcheck(args) -> int:
+    from . import cp
+
     phi = _read_map(args.input)
     verdict = cp.cp_check(phi, args.tol if args.tol is not None else "auto")
     doc = {"schema_version": _REPORT_VERSION,
@@ -474,7 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.set_defaults(func=cmd_sample)
 
     p_nec = sub.add_parser("necessity", help="run a seeded necessity suite")
-    p_nec.add_argument("setting", choices=list(necessity.SETTINGS))
+    p_nec.add_argument("setting", help="a criterion setting, e.g. disk.fov")
     p_nec.add_argument("--trials", type=int, default=20)
     p_nec.add_argument("--seed", type=int, default=0)
     p_nec.set_defaults(func=cmd_necessity)

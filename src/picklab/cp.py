@@ -141,7 +141,7 @@ def cp_check(phi: LinearMapOnMatrices, tol="auto") -> CpVerdict:
     as its image, so the image's smallest eigenvalue is the Choi one.
     """
     C = choi_matrix(phi)
-    verdict = matcore.is_psd(C, tol)
+    verdict = matcore.psd_verdict(C, tol)
     if verdict.is_psd:
         return CpVerdict(True, verdict.min_eigenvalue)
     n = phi.in_dim
@@ -346,5 +346,5 @@ def finite_section_kernel_check(kernel: Callable[[int, int, np.ndarray], np.ndar
     C = np.zeros((n * m, n * m), dtype=np.complex128)
     for (r, ccol), img in out_blocks.items():
         C[r * m:(r + 1) * m, ccol * m:(ccol + 1) * m] = img
-    verdict = matcore.is_psd(matcore.hermitize(C), tol)
+    verdict = matcore.psd_verdict(matcore.hermitize(C), tol)
     return CpVerdict(verdict.is_psd, verdict.min_eigenvalue)

@@ -62,7 +62,11 @@ def hermitize(M) -> np.ndarray:
 
 def min_eigenvalue(H) -> float:
     """Smallest eigenvalue of a Hermitian matrix."""
-    A = hermitize(H)
+    return _lowest_eigenvalue(hermitize(H))
+
+
+def _lowest_eigenvalue(A: np.ndarray) -> float:
+    """Smallest eigenvalue of a matrix that is already Hermitian."""
     if A.shape[0] == 0:
         raise DimensionError("empty matrix has no eigenvalues")
     try:
@@ -101,13 +105,18 @@ def auto_tolerance(H: np.ndarray) -> float:
 
 def is_psd(H, tol="auto") -> PsdVerdict:
     """PSD verdict for a Hermitian matrix at the given tolerance."""
-    A = hermitize(H)
+    return psd_verdict(hermitize(H), tol)
+
+
+def psd_verdict(A: np.ndarray, tol="auto") -> PsdVerdict:
+    """:func:`is_psd` for a matrix that is already Hermitian (e.g. the output
+    of :func:`hermitize`); it is not copied or symmetrized again."""
     if tol == "auto":
         tol = auto_tolerance(A)
     tol = float(tol)
     if tol < 0:
         raise ArgumentError("tolerance must be nonnegative")
-    lam = min_eigenvalue(A)
+    lam = _lowest_eigenvalue(A)
     return PsdVerdict(is_psd=bool(lam >= -tol), min_eigenvalue=lam, tolerance_used=tol)
 
 

@@ -48,7 +48,7 @@ def make_report(pick, method: str, tail_bound: float = 0.0, tol="auto") -> Feasi
     H = matcore.hermitize(pick)
     return FeasibilityReport(
         pick=H,
-        verdict=matcore.is_psd(H, tol),
+        verdict=matcore.psd_verdict(H, tol),
         method=method,
         tail_bound=float(tail_bound),
     )

@@ -7,13 +7,15 @@ bit-stable under json round-trips.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import TYPE_CHECKING, Dict, List
 
 import numpy as np
 
 from .errors import ArgumentError
-from .oracle import SchurSample
-from .quiver import Grading, Quiver, QuiverPoint
+
+if TYPE_CHECKING:  # imported where used, so a disk request never loads them
+    from .oracle import SchurSample
+    from .quiver import Grading, Quiver, QuiverPoint
 
 
 def complex_to_json(z) -> List[float]:
@@ -51,6 +53,8 @@ def matrices_from_json(obj) -> List[np.ndarray]:
 
 
 def quiver_from_json(obj) -> Quiver:
+    from .quiver import Quiver
+
     arrows = obj["arrows"]
     return Quiver(
         vertices=tuple(obj["vertices"]),
@@ -71,10 +75,14 @@ def quiver_to_json(G: Quiver, dims: Dict[str, int] | None = None) -> dict:
 
 
 def grading_from_json(G: Quiver, obj) -> Grading:
+    from .quiver import Grading
+
     return Grading(G, {v: int(n) for v, n in obj.items()})
 
 
 def quiver_point_from_json(kind: str, obj) -> QuiverPoint:
+    from .quiver import QuiverPoint
+
     return QuiverPoint(kind, {a: matrix_from_json(M) for a, M in obj.items()})
 
 
@@ -112,6 +120,8 @@ def sample_to_json(sample: SchurSample) -> dict:
 
 
 def sample_from_json(doc) -> SchurSample:
+    from .oracle import SchurSample
+
     setting = doc["setting"]
     common = dict(norm_bound=float(doc["norm_bound"]),
                   tail_bound=float(doc.get("tail_bound", 0.0)),

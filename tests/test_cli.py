@@ -54,6 +54,33 @@ class TestExitCodes:
         code, doc = run_cli(["check", str(p)], capsys)
         assert code == 65
 
+    def test_invalid_option_reports_its_path(self, tmp_path, capsys):
+        doc = json.loads((FIXTURES / "disk_fov_feasible.json").read_text())
+        for bad in (0, True, "many", 2.5):
+            doc["options"] = {"max_iter": bad}
+            p = tmp_path / "req.json"
+            p.write_text(json.dumps(doc))
+            code, out = run_cli(["check", str(p)], capsys)
+            assert code == 65, bad
+            assert out["error"]["code"] == "data"
+            assert out["error"]["path"] == "/options/max_iter"
+
+    def test_invalid_map_reports_its_path(self, tmp_path, capsys):
+        doc = json.loads((FIXTURES / "map_transpose.json").read_text())
+        doc["in_dim"] = 0
+        p = tmp_path / "map.json"
+        p.write_text(json.dumps(doc))
+        for cmd in ("choi", "cpcheck"):
+            code, out = run_cli([cmd, str(p)], capsys)
+            assert code == 65
+            assert out["error"]["code"] == "data"
+            assert out["error"]["path"] == "/in_dim"
+
+    def test_unknown_necessity_setting_is_usage(self, capsys):
+        code, doc = run_cli(["necessity", "bogus"], capsys)
+        assert code == 64
+        assert doc["error"]["code"] == "usage"
+
     def test_domain_error_is_data_error(self, tmp_path, capsys):
         p = tmp_path / "req.json"
         p.write_text(json.dumps({
@@ -288,12 +315,29 @@ def test_console_entry_point_runs():
     assert proc.stderr == ""
 
 
-def test_cli_import_loads_no_scipy():
-    # importing scipy.linalg alone costs about as much as a whole small request
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, picklab.cli; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-        capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")})
-    assert proc.stdout.strip() == "[]"
+# scipy.linalg and jsonschema each cost about as much to import as a whole
+# small request; a request loads only the modules of its own setting
+_NOT_LOADED = {
+    ("check", "disk_fov_feasible.json"): (
+        "scipy", "jsonschema", "picklab.agler", "picklab.cp", "picklab.oracle",
+        "picklab.necessity", "picklab.quiver"),
+    ("agler", "agler_bidisk_feasible.json"): (
+        "scipy", "jsonschema", "picklab.cp", "picklab.oracle", "picklab.necessity"),
+}
+
+
+def test_cli_subcommands_load_only_their_modules():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    for (command, fixture), forbidden in _NOT_LOADED.items():
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "picklab.cli", command,
+             str(FIXTURES / fixture)],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stdout
+        loaded = {line.rsplit("|", 1)[-1].strip()
+                  for line in proc.stderr.splitlines()
+                  if line.startswith("import time:")}
+        assert "numpy" in loaded and "picklab.serialize" in loaded
+        bad = sorted(m for m in loaded
+                     if any(m == p or m.startswith(p + ".") for p in forbidden))
+        assert bad == [], (command, fixture, bad)

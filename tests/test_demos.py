@@ -20,3 +20,4 @@ def test_every_demo_runs(tmp_path):
         if proc.returncode != 0:
             failed[demo.name] = proc.stderr[-2000:]
     assert not failed, failed
+    assert not list(tmp_path.iterdir()), "demos left files in the temporary directory"

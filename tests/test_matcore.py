@@ -68,6 +68,27 @@ def test_is_psd_examples():
         matcore.is_psd(np.eye(2), -1.0)
 
 
+def test_psd_verdicts_hermitize_once(monkeypatch):
+    from picklab import cp, disk
+    calls = []
+    real = matcore.hermitize
+
+    def counting(M):
+        calls.append(np.shape(M))
+        return real(M)
+
+    monkeypatch.setattr(matcore, "hermitize", counting)
+    rep = disk.pick_fov([0.0, 0.5], [[[0.0]], [[0.5]]])
+    assert calls == [(2, 2)]
+    calls.clear()
+    cp.cp_check(cp.LinearMapOnMatrices.from_callable(lambda A: A.T, 2))
+    assert calls == [(4, 4)]
+    # the verdict on the hermitized matrix is the public one, bit for bit
+    monkeypatch.undo()
+    assert rep.verdict == matcore.is_psd(rep.pick)
+    assert rep.min_eigenvalue == matcore.min_eigenvalue(rep.pick)
+
+
 def test_is_psd_verdict_invariant_and_monotone():
     rng = np.random.default_rng(3)
     H = matcore.hermitize(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
