@@ -86,7 +86,7 @@ def scalar_problem(points, values) -> AglerProblem:
     vals = np.asarray(values, dtype=np.complex128).reshape(-1)
     if pts.shape[0] != vals.size:
         raise DimensionError("need one value per point")
-    if np.any(np.abs(pts) >= 1.0):
+    if not (np.abs(pts) < 1.0).all():
         raise DomainError("points must lie in the open polydisk")
     tuples = [[np.array([[z]]) for z in row] for row in pts]
     X = [np.array([[1.0 + 0.0j]])] * pts.shape[0]

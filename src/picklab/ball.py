@@ -4,10 +4,12 @@ Free words over d letters index the noncommutative Toeplitz algebra; points
 are operator d-tuples whose block row is a strict contraction.  Pick blocks
 are geometric word sums: the fixed point of
 :func:`picklab.reports.fixed_point_report` with one arrow per letter,
-L_k = blockdiag_i Z_k^(i).  The commutative (Drury-Arveson) criteria reuse
-the word sum, which equals the multinomial-weighted multi-index sum; the
-literal unweighted multi-index sum is available behind a flag for
-comparison.
+L_k = blockdiag_i Z_k^(i).  The commutative (Drury-Arveson) criteria at
+scalar points are the closed form of :func:`picklab.reports.kernel_report`
+with the kernel 1/(1 - <lam_i, lam_j>) (FOV is LT with X_i = I); at
+operator tuples they reuse the word sum, which equals the
+multinomial-weighted multi-index sum; the literal unweighted multi-index
+sum is available behind a flag for comparison.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from .reports import (
     FeasibilityReport,
     block_entries,
     fixed_point_report,
-    make_report,
+    fov_as_lt,
+    kernel_report,
     series_report,
     stacked_middle,
 )
@@ -141,46 +144,21 @@ def pick_nc_ltoa(operator_points, directions, targets, tol="auto",
 def _check_ball_points(points) -> np.ndarray:
     pts = matcore.as_point_rows(points)
     norms2 = np.sum(np.abs(pts) ** 2, axis=1)
-    if np.any(norms2 >= 1.0):
+    if not (norms2 < 1.0).all():
         raise DomainError(
             f"point with squared norm {norms2.max():.6g} lies outside the ball")
     return pts
 
 
 def pick_da_fov(points, values, tol="auto") -> FeasibilityReport:
-    """Pick matrix [(I - W_i W_j*) / (1 - <lam_i, lam_j>)] on the ball."""
-    pts = _check_ball_points(points)
-    W = [as_complex_matrix(M) for M in values]
-    if len(W) != pts.shape[0]:
-        raise DimensionError("need one value per point")
-    p = W[0].shape[0]
-    if any(M.shape != W[0].shape for M in W):
-        raise DimensionError("values must share one shape")
-    eye = np.eye(p, dtype=np.complex128)
-    N = pts.shape[0]
-    blocks = [[(eye - W[i] @ W[j].conj().T)
-               / (1.0 - np.vdot(pts[j], pts[i]))
-               for j in range(N)] for i in range(N)]
-    return make_report(np.block(blocks), "closed_form", 0.0, tol)
+    """Pick matrix [(I - W_i W_j*) / (1 - <lam_i, lam_j>)] on the ball: DA-LT
+    with X_i = I."""
+    return pick_da_lt(points, *fov_as_lt(values), tol)
 
 
 def pick_da_lt(points, directions, targets, tol="auto") -> FeasibilityReport:
     """Pick matrix [(X_i X_j* - Y_i Y_j*) / (1 - <lam_i, lam_j>)] on the ball."""
-    pts = _check_ball_points(points)
-    X = [as_complex_matrix(M) for M in directions]
-    Y = [as_complex_matrix(M) for M in targets]
-    N = pts.shape[0]
-    if not (len(X) == len(Y) == N):
-        raise DimensionError("need one direction and one target per point")
-    Xs = matcore.stack_rows(X, "direction")
-    Ys = matcore.stack_rows(Y, "target")
-    rows = [M.shape[0] for M in X]
-    if rows != [M.shape[0] for M in Y]:
-        raise DimensionError("each direction and its target must share the output space")
-    cond = np.repeat(np.arange(N), rows)
-    kernel = (1.0 - pts @ pts.conj().T)[np.ix_(cond, cond)]
-    return make_report((Xs @ Xs.conj().T - Ys @ Ys.conj().T) / kernel,
-                       "closed_form", 0.0, tol)
+    return kernel_report(_check_ball_points(points), directions, targets, tol)
 
 
 def pick_da_ltoa(operator_points, directions, targets, tol="auto",

@@ -218,7 +218,7 @@ def _read_request(input_path: str):
     if not isinstance(doc, dict) or "setting" not in doc:
         raise _DataError("request must be an object with a 'setting' field",
                          input_path)
-    if doc["setting"] not in _KNOWN_SETTINGS:
+    if isinstance(doc["setting"], str) and doc["setting"] not in _KNOWN_SETTINGS:
         raise _Usage(f"unknown setting {doc['setting']!r}")
     try:
         validate_document(doc, "request.schema.json")

@@ -1,11 +1,14 @@
 """Single-variable Pick-matrix criteria on the unit disk.
 
-Covers the full operator-valued problem, left/right tangential variants,
-operator-argument variants (the one-arrow fixed point of
-:func:`picklab.reports.fixed_point_report`), the three functional-calculus variants
-with a finite basis expansion, and the right-half-plane Lyapunov criterion
-for the Nevanlinna class.  Each criterion returns a FeasibilityReport whose Pick matrix is
-positive semidefinite exactly when the interpolation problem is solvable.
+Covers the full operator-valued problem and the left/right tangential
+variants (the Szego-kernel closed form of
+:func:`picklab.reports.kernel_report`; FOV is LT with X_i = I and RT is LT
+on the sharp data), operator-argument variants (the one-arrow fixed point
+of :func:`picklab.reports.fixed_point_report`), the three
+functional-calculus variants with a finite basis expansion, and the
+right-half-plane Lyapunov criterion for the Nevanlinna class.  Each
+criterion returns a FeasibilityReport whose Pick matrix is positive
+semidefinite exactly when the interpolation problem is solvable.
 """
 
 from __future__ import annotations
@@ -18,14 +21,20 @@ import numpy as np
 from . import matcore
 from .errors import ArgumentError, DimensionError, DomainError
 from .matcore import as_complex_matrix
-from .reports import FeasibilityReport, fixed_point_report, make_report
+from .reports import (
+    FeasibilityReport,
+    fixed_point_report,
+    fov_as_lt,
+    kernel_report,
+    make_report,
+)
 
 
 def _check_disk_points(lams) -> np.ndarray:
     lams = np.asarray(lams, dtype=np.complex128).reshape(-1)
-    if np.any(np.abs(lams) >= 1.0):
-        bad = lams[np.abs(lams) >= 1.0][0]
-        raise DomainError(f"point {bad} is not in the open unit disk")
+    outside = ~(np.abs(lams) < 1.0)
+    if outside.any():
+        raise DomainError(f"point {lams[outside][0]} is not in the open unit disk")
     return lams
 
 def _check_strict_ops(points, what="operator point") -> list[np.ndarray]:
@@ -39,58 +48,26 @@ def _check_strict_ops(points, what="operator point") -> list[np.ndarray]:
     return mats
 
 
-def _common_shape(ops, name) -> list[np.ndarray]:
-    mats = [as_complex_matrix(M) for M in ops]
-    shapes = {M.shape for M in mats}
-    if len(shapes) > 1:
-        raise DimensionError(f"{name} operators must share one shape, got {shapes}")
-    return mats
-
-
 def pick_fov(points, values, tol="auto") -> FeasibilityReport:
-    """Pick matrix [(I - W_i W_j*) / (1 - lam_i conj(lam_j))]."""
-    lams = _check_disk_points(points)
-    W = _common_shape(values, "value")
-    if len(W) != lams.size:
-        raise DimensionError("need one value per point")
-    p = W[0].shape[0]
-    eye = np.eye(p, dtype=np.complex128)
-    N = lams.size
-    blocks = [[(eye - W[i] @ W[j].conj().T) / (1.0 - lams[i] * np.conj(lams[j]))
-               for j in range(N)] for i in range(N)]
-    return make_report(np.block(blocks), "closed_form", 0.0, tol)
+    """Pick matrix [(I - W_i W_j*) / (1 - lam_i conj(lam_j))]: LT with X_i = I."""
+    return pick_lt(points, *fov_as_lt(values), tol)
 
 
 def pick_lt(points, directions, targets, tol="auto") -> FeasibilityReport:
-    """Pick matrix [(X_i X_j* - Y_i Y_j*) / (1 - lam_i conj(lam_j))]."""
-    lams = _check_disk_points(points)
-    X = _common_shape(directions, "direction")
-    Y = _common_shape(targets, "target")
-    N = lams.size
-    if not (len(X) == len(Y) == N):
-        raise DimensionError("need one direction and one target per point")
-    if X[0].shape[0] != Y[0].shape[0]:
-        raise DimensionError("directions and targets must share the output space")
-    blocks = [[(X[i] @ X[j].conj().T - Y[i] @ Y[j].conj().T)
-               / (1.0 - lams[i] * np.conj(lams[j]))
-               for j in range(N)] for i in range(N)]
-    return make_report(np.block(blocks), "closed_form", 0.0, tol)
+    """Pick matrix [(X_i X_j* - Y_i Y_j*) / (1 - lam_i conj(lam_j))].
+
+    X_i and Y_i may map into an output space of their own per condition.
+    """
+    return kernel_report(_check_disk_points(points)[:, None], directions, targets, tol)
 
 
 def pick_rt(points, directions, targets, tol="auto") -> FeasibilityReport:
-    """Pick matrix [(U_i* U_j - V_i* V_j) / (1 - conj(lam_i) lam_j)]."""
-    lams = _check_disk_points(points)
-    U = _common_shape(directions, "direction")
-    V = _common_shape(targets, "target")
-    N = lams.size
-    if not (len(U) == len(V) == N):
-        raise DimensionError("need one direction and one target per point")
-    if U[0].shape[1] != V[0].shape[1]:
-        raise DimensionError("directions and targets must share the input space")
-    blocks = [[(U[i].conj().T @ U[j] - V[i].conj().T @ V[j])
-               / (1.0 - np.conj(lams[i]) * lams[j])
-               for j in range(N)] for i in range(N)]
-    return make_report(np.block(blocks), "closed_form", 0.0, tol)
+    """Pick matrix [(U_i* U_j - V_i* V_j) / (1 - conj(lam_i) lam_j)].
+
+    LT on the sharp data (conj(lam_i), U_i*, V_i*), so U_i and V_i may act on
+    an input space of their own per condition.
+    """
+    return pick_lt(*sharp_lt_to_rt(points, directions, targets), tol)
 
 
 def pick_ltoa(operator_points, directions, targets, tol="auto") -> FeasibilityReport:

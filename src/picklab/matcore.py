@@ -42,7 +42,7 @@ def as_complex_matrix(M) -> np.ndarray:
         A = A.reshape(1, -1)
     if A.ndim != 2:
         raise DimensionError(f"expected a matrix, got ndim={A.ndim}")
-    if not (np.all(np.isfinite(A.real)) and np.all(np.isfinite(A.imag))):
+    if not np.isfinite(A).all():
         raise DimensionError("matrix entries must be finite")
     return A
 
@@ -249,8 +249,8 @@ def block_diag(mats) -> np.ndarray:
 
 
 def stack_rows(mats, what: str) -> np.ndarray:
-    """vstack of the per-condition matrices, which must share one width."""
-    mats = [as_complex_matrix(M) for M in mats]
+    """vstack of the per-condition matrices (already coerced by
+    :func:`as_complex_matrix`), which must share one width."""
     widths = sorted({M.shape[1] for M in mats})
     if len(widths) > 1:
         raise DimensionError(

@@ -26,7 +26,7 @@ from .errors import (
     ShapeError,
 )
 from .matcore import as_complex_matrix
-from .reports import FeasibilityReport, fixed_point_report, series_report
+from .reports import FeasibilityReport, fixed_point_report, kernel_report, series_report
 
 
 @dataclass(frozen=True)
@@ -494,6 +494,13 @@ class ConstantMultiplierResult:
     rank_one_form: np.ndarray
 
 
+def _columns(mats) -> List[np.ndarray]:
+    """The columns of a stack of equal-shape matrices as (k, 1) matrices,
+    matrix-major."""
+    S = np.stack(mats)
+    return list(S.transpose(0, 2, 1).reshape(-1, S.shape[1], 1))
+
+
 def constant_multiplier_check(directions, targets, tol="auto") -> ConstantMultiplierResult:
     """Decide existence of a scalar |delta| <= 1 with delta X_i = Y_i.
 
@@ -509,27 +516,16 @@ def constant_multiplier_check(directions, targets, tol="auto") -> ConstantMultip
     shape = X[0].shape
     if any(M.shape != shape for M in X + Y):
         raise ShapeError("all directions and targets must share one shape")
-    N = len(X)
-    k, kappa = shape
     Xs = np.vstack(X)
     Ys = np.vstack(Y)
     u = Xs.flatten(order="F").reshape(-1, 1)
     v = Ys.flatten(order="F").reshape(-1, 1)
     rank_one = u @ u.conj().T - v @ v.conj().T
-    size = N * kappa * k
-    pick = np.zeros((size, size), dtype=np.complex128)
-    for i in range(N):
-        for ip in range(kappa):
-            ri = (i * kappa + ip) * k
-            for j in range(N):
-                for jp in range(kappa):
-                    cj = (j * kappa + jp) * k
-                    pick[ri:ri + k, cj:cj + k] = (
-                        X[i][:, ip:ip + 1] @ X[j][:, jp:jp + 1].conj().T
-                        - Y[i][:, ip:ip + 1] @ Y[j][:, jp:jp + 1].conj().T)
-    verdict = matcore.is_psd(pick, tol)
+    # condition (i, i') carries column i' of X_i and of Y_i, at lambda = 0
+    report = kernel_report(np.zeros((len(X) * shape[1], 1)), _columns(X), _columns(Y),
+                           tol)
     delta: Optional[complex] = None
-    if verdict.is_psd:
+    if report.verdict.is_psd:
         nu = float(np.linalg.norm(u))
         if nu == 0.0:
             delta = 0.0 + 0.0j
@@ -538,7 +534,7 @@ def constant_multiplier_check(directions, targets, tol="auto") -> ConstantMultip
             resid = float(np.linalg.norm(cand * u - v))
             if abs(cand) <= 1.0 + 1e-10 and resid <= 1e-8 * max(1.0, nu):
                 delta = cand
-    return ConstantMultiplierResult(verdict, delta, matcore.hermitize(pick),
+    return ConstantMultiplierResult(report.verdict, delta, report.pick,
                                     matcore.hermitize(rank_one))
 
 

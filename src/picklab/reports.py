@@ -1,5 +1,8 @@
-"""Feasibility reports, and the one fixed-point builder behind every
-operator-argument Pick matrix (disk, free ball, quiver)."""
+"""Feasibility reports, and the two Pick builders every criterion assembles
+data for: :func:`kernel_report`, the closed form at scalar ball points
+(disk and Drury-Arveson FOV/LT/RT, the constant-multiplier test), and
+:func:`fixed_point_report`, the fixed point behind every operator-argument
+Pick matrix (disk, free ball, quiver)."""
 
 from __future__ import annotations
 
@@ -18,7 +21,8 @@ class FeasibilityReport:
 
     pick        hermitized Pick matrix
     verdict     PSD verdict at the tolerance used
-    method      "closed_form" (finite formula or a finite level sum),
+    method      "closed_form" (the kernel formula of :func:`kernel_report`,
+                the Lyapunov criterion, or a finite level sum),
                 "stein_solve" (one-arrow fixed point by Smith doubling, run
                 until the dropped tail is below rounding) or
                 "truncated_series" (several-arrow level recursion cut at a
@@ -62,6 +66,42 @@ def series_report(pick, tails, tol="auto") -> FeasibilityReport:
     tails = np.asarray(tails, dtype=float)
     method = "closed_form" if tails.max() == 0 else "truncated_series"
     return make_report(pick, method, float(np.linalg.norm(tails, 2)), tol)
+
+
+def kernel_report(points, X, Y, tol="auto") -> FeasibilityReport:
+    """Report on the Pick matrix [(X_i X_j* - Y_i Y_j*) / (1 - <lam_i, lam_j>)].
+
+    points is an (N, d) array of scalar points in the open unit ball (d = 1
+    is the disk and its Szego kernel); X_i and Y_i share a row count, the
+    X's share one width and so do the Y's.  Computed on the stacks
+    Xs = vstack(X_i), Ys = vstack(Y_i) as (Xs Xs* - Ys Ys*) / (1 - points
+    points*) with each kernel entry repeated over its condition block
+    ("closed_form", tail 0).
+    """
+    X = [matcore.as_complex_matrix(M) for M in X]
+    Y = [matcore.as_complex_matrix(M) for M in Y]
+    N = points.shape[0]
+    if not (len(X) == len(Y) == N) or N == 0:
+        raise DimensionError("need one direction and one target per point, "
+                             "and at least one point")
+    rows = [M.shape[0] for M in X]
+    if rows != [M.shape[0] for M in Y]:
+        raise DimensionError("each direction and its target must share the output space")
+    Xs = matcore.stack_rows(X, "direction")
+    Ys = matcore.stack_rows(Y, "target")
+    cond = np.repeat(np.arange(N), rows)
+    kernel = (1.0 - points @ points.conj().T)[np.ix_(cond, cond)]
+    return make_report((Xs @ Xs.conj().T - Ys @ Ys.conj().T) / kernel,
+                       "closed_form", 0.0, tol)
+
+
+def fov_as_lt(values):
+    """FOV values W_i as LT data X_i = I, Y_i = W_i; all W_i share one shape."""
+    W = [matcore.as_complex_matrix(M) for M in values]
+    shapes = {M.shape for M in W}
+    if len(shapes) > 1:
+        raise DimensionError(f"values must share one shape, got {shapes}")
+    return [np.eye(M.shape[0], dtype=np.complex128) for M in W], W
 
 
 def stacked_middle(letters, X, Y):

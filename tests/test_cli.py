@@ -89,6 +89,33 @@ class TestExitCodes:
         code, doc = run_cli(["check", str(p)], capsys)
         assert code == 65
 
+    def test_non_string_setting_is_data_error(self, tmp_path, capsys):
+        p = tmp_path / "req.json"
+        for cmd in ("check", "agler"):
+            for setting in ([], {}, 3):
+                p.write_text(json.dumps({"schema_version": "1", "setting": setting,
+                                         "payload": {}}))
+                code, doc = run_cli([cmd, str(p)], capsys)
+                assert code == 65, (cmd, setting)
+                assert doc["error"]["code"] == "data"
+
+    def test_nan_point_is_domain_error(self, tmp_path, capsys):
+        nan, zero, one = [float("nan"), 0.0], [0.0, 0.0], [[[1.0, 0.0]]]
+        p = tmp_path / "req.json"
+        for cmd, setting, payload in [
+                ("check", "disk.fov", {"points": [nan, zero], "values": [one, one]}),
+                ("check", "ball.da_fov", {"points": [[nan, zero], [zero, zero]],
+                                          "values": [one, one]}),
+                ("agler", "polydisk.agler_scalar", {"points": [[nan, zero], [zero, zero]],
+                                                    "values": [zero, zero]})]:
+            p.write_text(json.dumps({"schema_version": "1", "setting": setting,
+                                     "payload": payload}))
+            code = cli.main([cmd, str(p)])
+            captured = capsys.readouterr()
+            assert code == 65, setting
+            assert json.loads(captured.out)["error"]["code"] == "DomainError"
+            assert captured.err == ""
+
     def test_budget_exhaustion_is_unknown(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("PICKLAB_BUDGET", "2")
         code, doc = run_cli(["check", str(FIXTURES / "ball_nc_ltoa_scalar.json")],

@@ -23,6 +23,13 @@ def eig2_oracle(a, b, d):
 GOLDEN_MIN_EIG = eig2_oracle(1.0, 1.0, 0.0)[0]  # (1 - sqrt(5))/2
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan),
+                                 complex(0, np.inf), complex(np.nan, 1.0)])
+def test_as_complex_matrix_rejects_nonfinite(bad):
+    with pytest.raises(DimensionError, match="finite"):
+        matcore.as_complex_matrix([[1.0, bad]])
+
+
 def test_hermitize_forced_values():
     out = matcore.hermitize([[0, 1], [0, 0]])
     assert np.allclose(out, [[0, 0.5], [0.5, 0]])
