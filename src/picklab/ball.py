@@ -244,8 +244,8 @@ def pick_nc_frd(operator_points, values, basis_dim: Optional[int] = None,
     """
     Zs = _check_strict_row(operator_points)
     W = [as_complex_matrix(M) for M in values]
-    if len(W) != len(Zs):
-        raise DimensionError("need one value per point")
+    if len(W) != len(Zs) or not Zs:
+        raise DimensionError("need one value per point, and at least one point")
     dim = Zs[0].dim
     for Z, Wi in zip(Zs, W):
         if Z.dim != dim or Wi.shape != (dim, dim):

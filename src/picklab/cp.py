@@ -6,7 +6,8 @@ serializable.  Finite-dimensionally, complete positivity is equivalent to
 the Choi matrix being PSD; the constructors below build the maps whose
 complete positivity is equivalent to the disk and quiver Pick criteria
 (their Choi matrices reproduce those Pick matrices after an index
-permutation).
+permutation).  The disk maps make one stacked Stein solve; the quiver maps
+embed the vertex matrices of :func:`picklab.quiver.pick_qltt`.
 """
 
 from __future__ import annotations
@@ -169,8 +170,9 @@ def build_phi_disk(operator_points, directions, targets) -> LinearMapOnMatrices:
     X = [as_complex_matrix(M) for M in directions]
     Y = [as_complex_matrix(M) for M in targets]
     N = len(Z)
-    if not (len(X) == len(Y) == N):
-        raise DimensionError("need one direction and one target per point")
+    if not (len(X) == len(Y) == N) or not N:
+        raise DimensionError("need one direction and one target per point, "
+                             "and at least one point")
     g = Z[0].shape[0]
     for M in Z:
         if M.shape != (g, g):
@@ -208,8 +210,9 @@ def build_phi_star_disk(operator_points, directions, targets) -> LinearMapOnMatr
     X = [as_complex_matrix(M) for M in directions]
     Y = [as_complex_matrix(M) for M in targets]
     N = len(Z)
-    if not (len(X) == len(Y) == N):
-        raise DimensionError("need one direction and one target per point")
+    if not (len(X) == len(Y) == N) or not N:
+        raise DimensionError("need one direction and one target per point, "
+                             "and at least one point")
     z = Z[0].shape[0]
     c = X[0].shape[0]
     for M in Z:
@@ -246,38 +249,19 @@ def build_phi_bar_quiver(G: Quiver, zdims: Grading, vdims: Grading,
     phi_bar([B_ij]) = [X_i K(Z_i, Z_j)[psi(B_ij)] X_j* - Y_i (...) Y_j*] with
     psi the vertex-block-diagonal compression; cross-vertex units map to 0.
     The Choi matrix permutes into the direct sum over vertices of the
-    tensor-calculus quiver Pick matrices.
+    tensor-calculus quiver Pick matrices, so the map embeds the vertex
+    matrices of :func:`picklab.quiver.pick_qltt` (with its checks, errors
+    and work budget).
     """
-    points = list(operator_points)
-    X = [as_complex_matrix(M) for M in directions]
-    Y = [as_complex_matrix(M) for M in targets]
-    N = len(points)
-    if not (len(X) == len(Y) == N):
-        raise DimensionError("need one direction and one target per point")
-    row_norms = []
-    for P in points:
-        rep = quiver_mod.disk_membership(G, zdims, P)
-        if not rep.is_member:
-            raise DomainError("operator point outside the generalized disk")
-        row_norms.append(rep.worst_row_norm)
-    edim = sum(vdims[v] * zdims[v] for v in G.vertices)
-    for M in X + Y:
-        if M.shape[1] != edim:
-            raise DimensionError(
-                f"directions/targets must act on dimension {edim}")
-    c = X[0].shape[0]
-    gdim = zdims.total
-    rmax = max(row_norms)
-    levels = matcore.required_levels(rmax * rmax, 1.0, series_tol)
+    picks = quiver_mod.pick_qltt(G, zdims, vdims, operator_points, directions,
+                                 targets, series_tol=series_tol)
+    N, gdim = len(operator_points), zdims.total
+    c = as_complex_matrix(directions[0]).shape[0]
     # the Szego kernel only reads diagonal blocks: cross-vertex units map to 0
     out = np.zeros((N, gdim, c, N, gdim, c), dtype=np.complex128)
-    for v in G.vertices:
-        kv = zdims[v]
-        if kv == 0:
-            continue
-        Pv = quiver_mod.qltt_vertex_matrix(G, zdims, vdims, points, X, Y, v, levels)
-        s = zdims.block_slice(v)
-        out[:, s, :, :, s, :] = Pv.reshape(N, kv, c, N, kv, c)
+    for v, rep in picks.items():
+        s, kv = zdims.block_slice(v), zdims[v]
+        out[:, s, :, :, s, :] = rep.pick.reshape(N, kv, c, N, kv, c)
     return _condition_blockwise_map(out.reshape(N * gdim * c, -1), N, gdim, c)
 
 

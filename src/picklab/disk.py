@@ -122,44 +122,35 @@ def expand_rd_to_ltoa(dataset: DiskDataset) -> DiskDataset:
     """
     variant = dataset.variant.upper()
     Z = [as_complex_matrix(P) for P in dataset.points]
+    if not Z:
+        raise DimensionError("need at least one point")
     if dataset.basis_dim is not None and dataset.basis_dim == 0:
         raise ArgumentError("basis dimension must be positive")
     if variant == "FRD":
-        W = [as_complex_matrix(M) for M in dataset.values]
         kappa = dataset.basis_dim or Z[0].shape[0]
         if kappa != Z[0].shape[0]:
             raise DimensionError("FRD basis dimension must equal dim of the Z space")
         U = [np.eye(kappa, dtype=np.complex128)] * len(Z)
-        return expand_rd_to_ltoa(DiskDataset("RTRD", Z, U, W, basis_dim=kappa))
-    if variant == "RTRD":
-        U = [as_complex_matrix(M) for M in dataset.directions]
-        V = [as_complex_matrix(M) for M in dataset.targets]
-        kappa = dataset.basis_dim or U[0].shape[1]
-        if kappa != U[0].shape[1]:
-            raise DimensionError("RTRD basis dimension must equal the U input space")
-        cols = _basis_columns(kappa)
-        points, xs, ys = [], [], []
-        for i in range(len(Z)):
-            for e in cols:
-                points.append(Z[i])
-                xs.append(U[i] @ e)
-                ys.append(V[i] @ e)
-        return DiskDataset("LTOA", points, xs, ys)
-    if variant == "LTRD":
-        X = [as_complex_matrix(M) for M in dataset.directions]
-        Y = [as_complex_matrix(M) for M in dataset.targets]
-        kappa = dataset.basis_dim or X[0].shape[0]
-        if kappa != X[0].shape[0]:
-            raise DimensionError("LTRD basis dimension must equal the X output space")
-        rows = [e.conj().T for e in _basis_columns(kappa)]
-        points, us, vs = [], [], []
-        for i in range(len(Z)):
-            for e in rows:
-                points.append(Z[i])
-                us.append(e @ X[i])
-                vs.append(e @ Y[i])
-        return DiskDataset("RTOA", points, us, vs)
-    raise ArgumentError(f"variant {dataset.variant!r} has no basis expansion")
+        return expand_rd_to_ltoa(DiskDataset("RTRD", Z, U, dataset.values,
+                                             basis_dim=kappa))
+    if variant not in ("RTRD", "LTRD"):
+        raise ArgumentError(f"variant {dataset.variant!r} has no basis expansion")
+    # the basis runs over the input space of U_i (RTRD) or the output space
+    # of X_i (LTRD): condition (i, k) keeps column (row) k of U_i, V_i (X_i, Y_i)
+    axis = 1 if variant == "RTRD" else 0
+    X = [as_complex_matrix(M) for M in dataset.directions]
+    Y = [as_complex_matrix(M) for M in dataset.targets]
+    if not (len(X) == len(Y) == len(Z)) or any(
+            Xi.shape != Yi.shape for Xi, Yi in zip(X, Y)):
+        raise DimensionError("need one direction and one target of the same "
+                             "shape per point")
+    kappa = dataset.basis_dim or X[0].shape[axis]
+    if any(M.shape[axis] != kappa for M in X):
+        raise DimensionError(f"{variant} basis dimension must equal the "
+                             f"{'U input' if axis else 'X output'} space")
+    points, xs, ys = zip(*[(Zi, np.take(Xi, [k], axis), np.take(Yi, [k], axis))
+                           for Zi, Xi, Yi in zip(Z, X, Y) for k in range(kappa)])
+    return DiskDataset("LTOA" if axis else "RTOA", list(points), list(xs), list(ys))
 
 
 def pick_frd(operator_points, values, basis_dim=None, tol="auto") -> FeasibilityReport:

@@ -4,14 +4,16 @@ A quiver is a finite directed graph; its composable arrow sequences index a
 graded Toeplitz algebra.  Points live in generalized disks whose per-vertex
 row blocks are strict contractions, and three Pick-matrix criteria decide
 tensor-calculus, functional-calculus and operator-argument interpolation.
-Path sums are one level recursion on the condition-stacked matrix, with each
-arrow block placed by vertex, truncated with certified geometric tails; the
-operator-argument criterion is the fixed point of
-:func:`picklab.reports.fixed_point_report` with one arrow per quiver arrow.
+All three are the fixed point of :func:`picklab.reports.fixed_point` on the
+condition-stacked matrix, with one letter per quiver arrow placed by
+vertex: a Stein solve for one arrow, otherwise a level recursion truncated
+with certified geometric tails.  The criteria only assemble its letters,
+middle and plan.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -26,7 +28,14 @@ from .errors import (
     ShapeError,
 )
 from .matcore import as_complex_matrix
-from .reports import FeasibilityReport, fixed_point_report, kernel_report, series_report
+from .reports import (
+    FeasibilityReport,
+    fixed_point,
+    fixed_point_report,
+    kernel_report,
+    series_report,
+    stacked_middle,
+)
 
 
 @dataclass(frozen=True)
@@ -251,8 +260,9 @@ def path_power(point: QuiverPoint, path: Path, dims: Grading) -> np.ndarray:
     return M
 
 
-def _check_points(G, dims, points, kind):
-    reports = []
+def _check_points(G, dims, points, kind) -> List[float]:
+    """Worst row norm of each point, all of the given kind and in the disk."""
+    norms = []
     for k, P in enumerate(points):
         if P.kind != kind:
             raise ArgumentError(f"point {k} has kind {P.kind!r}, expected {kind!r}")
@@ -261,8 +271,8 @@ def _check_points(G, dims, points, kind):
             raise DomainError(
                 f"point {k} is not in the generalized disk "
                 f"(worst row norm {rep.worst_row_norm:.6g})")
-        reports.append(rep)
-    return reports
+        norms.append(rep.worst_row_norm)
+    return norms
 
 
 def pick_qltt(G: Quiver, zdims: Grading, ydims: Grading, points, directions,
@@ -276,79 +286,84 @@ def pick_qltt(G: Quiver, zdims: Grading, ydims: Grading, points, directions,
     pairs ((i, i'), (j, j')), i' <= zdims[v], sums over paths with source v
     the embedded blocks X_i (I tensor Z^g e_i' e_j'* Z^g*) X_j* minus the
     same with Y.  The problem is solvable iff every vertex matrix is PSD.
+    With several arrows one plan, made once for all vertices, sets the
+    levels and checks the budget: each (i, j) pair is a geometric sum of
+    ratio r_i r_j and unit starting norm for every (vertex, basis pair).
     """
-    budget = config.work_budget() if budget is None else budget
-    reports = _check_points(G, zdims, points, "tensor")
-    N = len(points)
+    r, X, Y = _tensor_data(G, zdims, points, directions, targets,
+                           sum(ydims[v] * zdims[v] for v in G.vertices))
+    N, kv_total = len(X), sum(zdims[v] ** 2 for v in G.vertices)
+
+    @functools.cache
+    def plan():
+        levels, tails = matcore.plan_levels(
+            [(ri * rj, 1.0) for ri in r for rj in r for _ in range(kv_total)],
+            len(G.arrows), series_tol,
+            config.work_budget() if budget is None else budget)
+        xnorm = [matcore.operator_norm(M) for M in X]
+        ynorm = [matcore.operator_norm(M) for M in Y]
+        return levels[::kv_total], np.reshape(tails[::kv_total], (N, N)) * (
+            np.outer(xnorm, xnorm) + np.outer(ynorm, ynorm))
+
+    placed = _placed_arrows(G, zdims, points)
+    return {v: series_report(*qltt_vertex_matrix(G, zdims, ydims, placed, X, Y, v,
+                                                 plan), tol)
+            for v in G.vertices if zdims[v]}
+
+
+def _tensor_data(G: Quiver, zdims: Grading, points, directions, targets, width):
+    """Row norms of tensor points, and one direction and one target per point,
+    all acting on dimension width with one output dimension."""
+    norms = _check_points(G, zdims, points, "tensor")
     X = [as_complex_matrix(M) for M in directions]
     Y = [as_complex_matrix(M) for M in targets]
-    if not (len(X) == len(Y) == N):
-        raise ShapeError("need one direction and one target per point")
-    qdim = sum(ydims[v] * zdims[v] for v in G.vertices)
+    if not (len(X) == len(Y) == len(points) > 0):
+        raise ShapeError("need one direction and one target per point, "
+                         "and at least one point")
     for M in X + Y:
-        if M.shape[1] != qdim:
+        if M.shape[1] != width:
             raise ShapeError(
-                f"direction/target acts on dimension {M.shape[1]}, expected {qdim}")
-    c = X[0].shape[0]
-    if any(M.shape[0] != c for M in X + Y):
+                f"direction/target acts on dimension {M.shape[1]}, expected {width}")
+    if any(M.shape[0] != X[0].shape[0] for M in X + Y):
         raise ShapeError("directions and targets must share one output dimension")
-    xnorm = [matcore.operator_norm(M) for M in X]
-    ynorm = [matcore.operator_norm(M) for M in Y]
-
-    # one geometric plan per (vertex, i, j, basis pair): ratios repeat per
-    # (i, j), unit-rank starting norms are 1
-    pair_entries = [(reports[i].worst_row_norm * reports[j].worst_row_norm, 1.0)
-                    for i in range(N) for j in range(N)]
-    kv_total = sum(zdims[v] ** 2 for v in G.vertices)
-    levels_ij, tails_ij = matcore.plan_levels(
-        [e for e in pair_entries for _ in range(kv_total)], len(G.arrows),
-        series_tol, budget)
-    levels = max(levels_ij[::max(kv_total, 1)])
-    tails_ij = np.array(tails_ij[::max(kv_total, 1)]).reshape(N, N) * (
-        np.outer(xnorm, xnorm) + np.outer(ynorm, ynorm))
-
-    out: Dict[str, FeasibilityReport] = {}
-    for v in G.vertices:
-        kv = zdims[v]
-        if kv == 0:
-            continue
-        pick = qltt_vertex_matrix(G, zdims, ydims, points, X, Y, v, levels)
-        tails = np.kron(tails_ij, np.ones((kv, kv)))
-        out[v] = series_report(pick, tails, tol)
-    return out
+    return norms, X, Y
 
 
-def _placed_arrows(G: Quiver, dims: Grading, P: QuiverPoint) -> np.ndarray:
-    """P's arrow blocks on the whole graded space, shape (arrows, dim, dim).
+def _placed_arrows(G: Quiver, dims: Grading, points) -> np.ndarray:
+    """Each point's arrow blocks on the whole graded space, shape
+    (points, arrows, dim, dim).
 
     The block for arrow a sits at rows rng(a), columns src(a) (tensor points)
     or rows src(a), columns rng(a) (operator arguments).
     """
-    out = np.zeros((len(G.arrows), dims.total, dims.total), dtype=np.complex128)
-    for L, a in zip(out, G.arrows):
-        rows, cols = ((G.rng[a], G.src[a]) if P.kind == "tensor"
-                      else (G.src[a], G.rng[a]))
-        L[dims.block_slice(rows), dims.block_slice(cols)] = P.blocks[a]
+    out = np.zeros((len(points), len(G.arrows), dims.total, dims.total),
+                   dtype=np.complex128)
+    for Ls, P in zip(out, points):
+        for L, a in zip(Ls, G.arrows):
+            rows, cols = ((G.rng[a], G.src[a]) if P.kind == "tensor"
+                          else (G.src[a], G.rng[a]))
+            L[dims.block_slice(rows), dims.block_slice(cols)] = P.blocks[a]
     return out
 
 
-def qltt_vertex_matrix(G: Quiver, zdims: Grading, ydims: Grading, points,
-                       directions, targets, v: str, levels: int) -> np.ndarray:
-    """Vertex-v matrix of :func:`pick_qltt`, path sums truncated at `levels`.
+def qltt_vertex_matrix(G: Quiver, zdims: Grading, ydims: Grading, placed,
+                       directions, targets, v: str, plan):
+    """Vertex-v matrix of :func:`pick_qltt` and its block tails (None for one
+    arrow).
 
-    The path sums K_(i,i'),(j,j') = sum_g Z_i^g e_i' e_j'* Z_j^g* (paths g
-    with source v) come from one level recursion on the stacked unit
-    matrices; the block X_i (I tensor K) X_j* - Y_i (I tensor K) Y_j* is then
-    summed over the (vertex w, copy k) summands Y_w tensor Z_w of Q.
+    placed holds each point's arrows from :func:`_placed_arrows`, shape
+    (N, arrows, dim, dim).  The path sums K_(i,i'),(j,j') = sum_g Z_i^g e_i'
+    e_j'* Z_j^g* (paths g with source v) are the fixed point of
+    :func:`picklab.reports.fixed_point` on the stacked unit matrices, with
+    plan giving the levels and the (i, j) tails; the block
+    X_i (I tensor K) X_j* - Y_i (I tensor K) Y_j* is then summed over the
+    (vertex w, copy k) summands Y_w tensor Z_w of Q.
     """
-    kv, N, zdim = zdims[v], len(points), zdims.total
+    kv, N, zdim = zdims[v], len(placed), zdims.total
     units = np.zeros((N * kv, zdim))
     units[np.arange(N * kv), zdims.offsets[v] + np.tile(np.arange(kv), N)] = 1.0
     units = units.reshape(-1, 1)
-    placed = np.array([_placed_arrows(G, zdims, P) for P in points])
-    Ls = [matcore.block_diag(np.repeat(placed[:, k], kv, axis=0))
-          for k in range(len(G.arrows))]
-    K = matcore.level_sum(Ls, units @ units.T, levels)
+    K, tails = fixed_point(np.repeat(placed, kv, axis=0), units @ units.T, plan)
     X, Y = np.array(directions), np.array(targets)
     c = X.shape[1]
     pick = np.zeros((N * kv * c, N * kv * c), dtype=np.complex128)
@@ -362,7 +377,7 @@ def qltt_vertex_matrix(G: Quiver, zdims: Grading, ydims: Grading, points,
                 R[:, :, zdims.block_slice(w)] = F[:, :, cols]
                 R = np.repeat(R, kv, axis=0)
                 pick += sign * matcore.sandwich(R, K, R)
-    return pick
+    return pick, None if tails is None else np.kron(tails, np.ones((kv, kv)))
 
 
 def pick_qltrd(G: Quiver, zdims: Grading, points, directions, targets,
@@ -374,53 +389,44 @@ def pick_qltrd(G: Quiver, zdims: Grading, points, directions, targets,
     The matrix over ((i, i'), (j, j')) sums, over all paths, the adjoint-side
     conjugations Z_i^g* [X_i* e_i' e_j'* X_j - Y_i* e_i' e_j'* Y_j] Z_j^g,
     embedded per source vertex, giving one (N kappa dimZ)-square matrix.
+
+    It is the fixed point of :func:`picklab.reports.fixed_point` with
+    condition (i, i') carrying the letters placed(Z_i)_a* and the direction
+    blockdiag_v (X_i* e_i')[v] (target likewise with Y), so the middle is
+    already vertex-diagonal.  The plan multiplies each block's starting
+    norm by dim Z: r_i bounds the row norm of Z_i, which is the adjoint
+    row norm of the letters, not their own row norm ||[Z_a; ...]|| (which
+    may exceed 1).  By trace duality ||Phi^n(M)|| <= ||Phi^n(M)||_1 <=
+    r^(2n) ||M||_1 <= dim Z r^(2n) ||M||.
     """
-    budget = config.work_budget() if budget is None else budget
-    reports = _check_points(G, zdims, points, "tensor")
-    N = len(points)
-    X = [as_complex_matrix(M) for M in directions]
-    Y = [as_complex_matrix(M) for M in targets]
-    if not (len(X) == len(Y) == N):
-        raise ShapeError("need one direction and one target per point")
     zdim = zdims.total
-    for M in X + Y:
-        if M.shape[1] != zdim:
-            raise ShapeError(
-                f"direction/target acts on dimension {M.shape[1]}, expected {zdim}")
-    kappa = X[0].shape[0]
-    if any(M.shape[0] != kappa for M in X + Y):
-        raise ShapeError("directions and targets must share one output dimension")
+    norms, X, Y = _tensor_data(G, zdims, points, directions, targets, zdim)
+    N, kappa = len(X), X[0].shape[0]
     if basis_dim is not None and basis_dim != kappa:
         raise ShapeError("basis_dim must equal the common output dimension of X, Y")
+    letters = np.repeat(_placed_arrows(G, zdims, points).conj().swapaxes(-1, -2),
+                        kappa, axis=0)
+    vertex = np.repeat(np.arange(len(G.vertices)), [zdims[v] for v in G.vertices])
 
-    n = N * kappa
-    # stacked rows (i, i') of X_i* e_i' and Y_i* e_i'
-    x = np.concatenate([M.conj().ravel() for M in X]).reshape(-1, 1)
-    y = np.concatenate([M.conj().ravel() for M in Y]).reshape(-1, 1)
-    M = x @ x.conj().T - y @ y.conj().T
-    blocks = M.reshape(N, kappa, zdim, N, kappa, zdim)
-    entries = []
-    for i in range(N):
-        for j in range(N):
-            r = reports[i].worst_row_norm * reports[j].worst_row_norm
-            for ip in range(kappa):
-                for jp in range(kappa):
-                    # adjoint-side recursion: trace argument adds a dim factor
-                    entries.append((r, zdim * matcore.operator_norm(
-                        blocks[i, ip, :, j, jp, :])))
-    levels, tail_list = matcore.plan_levels(entries, len(G.arrows), series_tol,
-                                            budget)
-    # the path sums start from the vertex-diagonal blocks of each M0
-    vertex = np.repeat(np.arange(len(G.vertices)),
-                       [zdims[v] for v in G.vertices])
-    M *= np.kron(np.ones((n, n)), vertex[:, None] == vertex[None, :])
-    placed = np.array([_placed_arrows(G, zdims, P) for P in points])
-    Ls = [matcore.block_diag(np.repeat(placed[:, k], kappa, axis=0)).conj().T
-          for k in range(len(G.arrows))]
-    pick = matcore.level_sum(Ls, M, max(levels))
-    tails = np.array(tail_list).reshape(N, N, kappa, kappa).transpose(
-        0, 2, 1, 3).reshape(n, n)
-    return series_report(pick, tails, tol)
+    def vertex_columns(F):
+        # row i' of F_i, conjugated, as blockdiag_v (F_i* e_i')[v]
+        D = np.zeros((N, kappa, zdim, len(G.vertices)), dtype=np.complex128)
+        D[:, :, np.arange(zdim), vertex] = np.conj(F)
+        return list(D.reshape(N * kappa, zdim, -1))
+
+    M = stacked_middle(letters, vertex_columns(X), vertex_columns(Y))[2]
+    n, r = N * kappa, np.repeat(norms, kappa)
+
+    def plan():
+        block_norms = np.linalg.norm(M.reshape(n, zdim, n, zdim).swapaxes(1, 2), 2,
+                                     axis=(-2, -1))
+        levels, tails = matcore.plan_levels(
+            list(zip(np.outer(r, r).ravel(), zdim * block_norms.ravel())),
+            len(G.arrows), series_tol,
+            config.work_budget() if budget is None else budget)
+        return levels, np.reshape(tails, (n, n))
+
+    return series_report(*fixed_point(letters, M, plan), tol)
 
 
 def split_block_diagonal(M, row_grading: Grading, col_grading: Grading,
@@ -451,13 +457,12 @@ def pick_qltoa(G: Quiver, xdims: Grading, points, directions, targets,
     transposed-word conjugations T_i^gT (X_r(g) X_r(g)* - Y_r(g) Y_r(g)*)
     T_j^gT*, embedded per source vertex; the result is N dim(X) square.
     """
-    reports = _check_points(G, xdims, points, "operator_argument")
+    norms = _check_points(G, xdims, points, "operator_argument")
     X = [_as_vertex_family(G, D, xdims, "direction") for D in directions]
     Y = [_as_vertex_family(G, D, xdims, "target") for D in targets]
-    return fixed_point_report([_placed_arrows(G, xdims, P) for P in points],
+    return fixed_point_report(_placed_arrows(G, xdims, points),
                               _vertex_blocks(G, X, "direction"),
-                              _vertex_blocks(G, Y, "target"),
-                              [r.worst_row_norm for r in reports], tol,
+                              _vertex_blocks(G, Y, "target"), norms, tol,
                               series_tol, budget)
 
 

@@ -1,8 +1,11 @@
 """Feasibility reports, and the two Pick builders every criterion assembles
 data for: :func:`kernel_report`, the closed form at scalar ball points
 (disk and Drury-Arveson FOV/LT/RT, the constant-multiplier test), and
-:func:`fixed_point_report`, the fixed point behind every operator-argument
-Pick matrix (disk, free ball, quiver)."""
+:func:`fixed_point`, the fixed point P = M + sum_a L_a P L_a* behind every
+other Pick matrix except the Lyapunov criterion.  Disk, free-ball and quiver
+operator-argument criteria reach it through :func:`fixed_point_report`;
+the quiver tensor and functional-calculus criteria (and so the quiver CP
+map) call it with plans of their own."""
 
 from __future__ import annotations
 
@@ -27,9 +30,10 @@ class FeasibilityReport:
                 until the dropped tail is below rounding) or
                 "truncated_series" (several-arrow level recursion cut at a
                 planned level).  The arrow count decides: a free-ball point
-                with d = 1 or a quiver with one arrow is a one-arrow fixed
-                point, so it reports "stein_solve" with tail 0 and never
-                raises BudgetError.
+                with d = 1, or a quiver with one arrow under any of the
+                three quiver criteria (qltt, qltrd, qltoa), is a one-arrow
+                fixed point, so it reports "stein_solve" with tail 0 and
+                never raises BudgetError.
     tail_bound  certified bound on the dropped series tail (0 unless
                 "truncated_series")
     """
@@ -61,8 +65,11 @@ def make_report(pick, method: str, tail_bound: float = 0.0, tol="auto") -> Feasi
 def series_report(pick, tails, tol="auto") -> FeasibilityReport:
     """Report for a level sum cut with a tail bound per (i, j) block.
 
-    The matrix of block tails bounds the dropped tail in spectral norm.
+    The matrix of block tails bounds the dropped tail in spectral norm;
+    tails None is the one-arrow Stein solve of :func:`fixed_point`.
     """
+    if tails is None:
+        return make_report(pick, "stein_solve", 0.0, tol)
     tails = np.asarray(tails, dtype=float)
     method = "closed_form" if tails.max() == 0 else "truncated_series"
     return make_report(pick, method, float(np.linalg.norm(tails, 2)), tol)
@@ -114,7 +121,7 @@ def stacked_middle(letters, X, Y):
     """
     X = [matcore.as_complex_matrix(M) for M in X]
     Y = [matcore.as_complex_matrix(M) for M in Y]
-    if not (len(X) == len(Y) == len(letters)) or not letters:
+    if not (len(X) == len(Y) == len(letters) > 0):
         raise DimensionError("need one direction and one target per point, "
                              "and at least one point")
     for i, L in enumerate(letters):
@@ -138,34 +145,46 @@ def block_entries(X, Y, row_norms):
             for i in range(N) for j in range(N)]
 
 
+def fixed_point(letters, M, plan):
+    """The fixed point P = M + sum_a L_a P L_a*, L_a = blockdiag_i letters[i][a].
+
+    Returns (P, tails).  One arrow is solved by stacked Smith doubling
+    (blocks of unequal size are zero-padded and the padding dropped
+    afterwards); tails is None and plan is never called.  Several arrows
+    run the level recursion to the largest level of levels, tails = plan(),
+    so only several-arrow inputs pay for the plan's norms or its BudgetError.
+    """
+    N, arrows = len(letters), len(letters[0])
+    if arrows > 1:
+        levels, tails = plan()
+        Ls = [matcore.block_diag([L[a] for L in letters]) for a in range(arrows)]
+        return matcore.level_sum(Ls, M, max(levels)), tails
+    sizes = np.array([len(L[0]) for L in letters])
+    n = sizes.max()
+    T = np.zeros((N, n, n), dtype=np.complex128)
+    for Ti, L, k in zip(T, letters, sizes):
+        Ti[:k, :k] = L[0]
+    keep = np.flatnonzero(np.arange(n) < sizes[:, None])
+    Q = np.zeros((N * n, N * n), dtype=np.complex128)
+    Q[np.ix_(keep, keep)] = M
+    return matcore.solve_stein(T, Q, T)[np.ix_(keep, keep)], None
+
+
 def fixed_point_report(letters, X, Y, row_norms, tol="auto", series_tol=1e-12,
                        budget=None) -> FeasibilityReport:
     """Report on the fixed point P = M + sum_a L_a P L_a* of a Pick criterion.
 
     letters[i] lists condition i's arrow blocks, L_a = blockdiag_i
     letters[i][a], M = Xs Xs* - Ys Ys* with Xs = vstack(X_i), and row_norms[i]
-    bounds the block row of letters[i].  One arrow is solved by stacked
-    Smith doubling ("stein_solve", tail 0; blocks of unequal size are
-    zero-padded and the padding dropped afterwards).  Several arrows run the
-    level recursion to the largest level planned from :func:`block_entries`
-    ("truncated_series", BudgetError past the budget).
+    bounds the block row of letters[i].  Solved by :func:`fixed_point`;
+    several arrows plan their levels from :func:`block_entries`.
     """
     X, Y, M = stacked_middle(letters, X, Y)
-    N, arrows = len(letters), len(letters[0])
-    if arrows == 1:
-        sizes = np.array([len(L[0]) for L in letters])
-        n = sizes.max()
-        T = np.zeros((N, n, n), dtype=np.complex128)
-        for Ti, L, k in zip(T, letters, sizes):
-            Ti[:k, :k] = L[0]
-        keep = np.flatnonzero(np.arange(n) < sizes[:, None])
-        Q = np.zeros((N * n, N * n), dtype=np.complex128)
-        Q[np.ix_(keep, keep)] = M
-        pick = matcore.solve_stein(T, Q, T)[np.ix_(keep, keep)]
-        return make_report(pick, "stein_solve", 0.0, tol)
-    budget = config.work_budget() if budget is None else budget
-    levels, tails = matcore.plan_levels(block_entries(X, Y, row_norms), arrows,
-                                        series_tol, budget)
-    Ls = [matcore.block_diag([L[a] for L in letters]) for a in range(arrows)]
-    return series_report(matcore.level_sum(Ls, M, max(levels)),
-                         np.reshape(tails, (N, N)), tol)
+
+    def plan():
+        levels, tails = matcore.plan_levels(
+            block_entries(X, Y, row_norms), len(letters[0]), series_tol,
+            config.work_budget() if budget is None else budget)
+        return levels, np.reshape(tails, (len(X), len(X)))
+
+    return series_report(*fixed_point(letters, M, plan), tol)

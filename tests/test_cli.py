@@ -144,6 +144,23 @@ class TestExitCodes:
         assert code == 65
         assert doc["error"]["code"] == "DimensionError"
 
+    def test_rd_target_of_other_shape_is_data_error(self, tmp_path, capsys):
+        def unit(rows, cols):
+            return [[[float(r == k), 0.0] for k in range(cols)] for r in range(rows)]
+
+        Z = [[[0.3, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.2, 0.0]]]
+        p = tmp_path / "req.json"
+        for setting, X, Y in [("disk.ltrd", unit(2, 2), unit(3, 2)),   # 3 rows
+                              ("disk.rtrd", unit(2, 2), unit(2, 3))]:  # 3 columns
+            p.write_text(json.dumps({"schema_version": "1", "setting": setting,
+                                     "payload": {"operator_points": [Z],
+                                                 "directions": [X], "targets": [Y]}}))
+            code = cli.main(["check", str(p)])
+            captured = capsys.readouterr()
+            assert code == 65, setting
+            assert json.loads(captured.out)["error"]["code"] == "DimensionError"
+            assert captured.err == ""
+
     def test_ragged_agler_points_is_data_error(self, tmp_path, capsys):
         z = [0.1, 0.0]
         one, wide = [[z]], [[z, [0.0, 0.0]]]

@@ -4,7 +4,7 @@ import pytest
 from picklab import cp, disk, matcore, oracle
 from picklab import quiver as qv
 from picklab.cp import LinearMapOnMatrices
-from picklab.errors import MapError
+from picklab.errors import ArgumentError, MapError
 from picklab.quiver import Grading, QuiverPoint
 
 
@@ -267,6 +267,16 @@ class TestPhiQuiver:
         # coincide extensionally and the verdicts agree exactly
         assert np.max(np.abs(phi.unit_images - phib.unit_images)) == 0.0
         assert cp.cp_check(phi).is_cp == cp.cp_check(phib).is_cp
+
+    def test_operator_argument_points_rejected(self):
+        # the map is built from tensor points; operator arguments would be
+        # read as transposed blocks
+        G, _, _ = qv.two_vertex_example()
+        zd = Grading(G, {"a": 1, "b": 1})
+        pt = QuiverPoint("operator_argument", {"alpha": [[0.1]], "beta": [[0.2]]})
+        with pytest.raises(ArgumentError):
+            cp.build_phi_bar_quiver(G, zd, zd, [pt], [np.ones((1, 2))],
+                                    [np.zeros((1, 2))])
 
     def test_oracle_quiver_data_cp(self):
         G, _, _ = qv.two_vertex_example()

@@ -318,6 +318,93 @@ class TestPickQltrd:
                         direct[r0:r0 + 2, c0:c0 + 2] = S
         assert np.max(np.abs(rep.pick - matcore.hermitize(direct))) <= 1e-9
 
+    def test_tail_bound_certifies_adjoint_side_sum(self):
+        # the letters placed(Z)_a* have row norm ||[Z_alpha; Z_beta]|| > 1 while
+        # the point's row norms stay below 1; the tail must still bound the
+        # truncation, which on the scalar data is exactly dim Z times the
+        # geometric tail of ||M|| (the plan's trace-duality factor)
+        G, _, _ = qv.two_vertex_example()
+        rng = np.random.default_rng(16)
+        cases = [(Grading(G, {"a": 1, "b": 1}),
+                  [QuiverPoint("tensor", {"alpha": [[0.9]], "beta": [[0.9]]})],
+                  [np.array([[1.0, 1.0]])], [np.zeros((1, 2))])]
+        zd = Grading(G, {"a": 2, "b": 1})
+        pts = [tensor_point(rng, G, zd, 0.9) for _ in range(2)]
+        cases.append((zd, pts, [cg(rng, 2, 3) for _ in pts],
+                      [0.5 * cg(rng, 2, 3) for _ in pts]))
+        for zd, pts, X, Y in cases:
+            assert max(matcore.operator_norm(np.vstack(
+                [p.blocks["alpha"], p.blocks["beta"]])) for p in pts) > 1
+            rep = qv.pick_qltrd(G, zd, pts, X, Y, series_tol=1e-8)
+            deep = adjoint_side_fixed_point(zd, pts, X, Y)
+            assert np.linalg.norm(rep.pick - deep, 2) <= rep.tail_bound + 1e-12
+
+
+def adjoint_side_fixed_point(zd, points, X, Y, sweeps=3000):
+    """The qltrd matrix of the two-vertex quiver by plain fixed-point sweeps
+    P <- M + sum_a A_a,i* P A_a,j on blocks ((i, i'), (j, j'))."""
+    na, n = zd["a"], zd.total
+    A = np.zeros((len(points), 2, n, n), dtype=complex)
+    for k, p in enumerate(points):
+        A[k, 0, :na, :na] = p.blocks["alpha"]
+        A[k, 1, na:, :na] = p.blocks["beta"]
+    kappa = X[0].shape[0]
+    A = np.repeat(A, kappa, axis=0)
+    x = np.conj(np.array(X)).reshape(-1, n)
+    y = np.conj(np.array(Y)).reshape(-1, n)
+    same_vertex = np.equal.outer(np.arange(n) < na, np.arange(n) < na)
+    M = (np.einsum("pi,qj->pqij", x, x.conj())
+         - np.einsum("pi,qj->pqij", y, y.conj())) * same_vertex
+    P = M.copy()
+    for _ in range(sweeps):
+        P = M + np.einsum("paji,pqjk,qakl->pqil", A.conj(), P, A)
+    m = len(x) * n
+    return matcore.hermitize(P.transpose(0, 2, 1, 3).reshape(m, m))
+
+
+def one_arrow_quivers():
+    """(one-arrow quiver, the same with an extra loop, dims) pairs."""
+    a_to_b = Quiver(("a", "b"), ("beta",), {"beta": "a"}, {"beta": "b"})
+    return {"loop": (loops_quiver(1), loops_quiver(2), {"v": 2}),
+            "a_to_b": (a_to_b, qv.two_vertex_example()[0], {"a": 2, "b": 1})}
+
+
+def quiver_picks(criterion, G, dims, points, X, Y, **kw):
+    dims = Grading(G, dims)
+    if criterion == "qltoa":
+        return [qv.pick_qltoa(G, dims, points, X, Y, **kw)]
+    if criterion == "qltt":
+        ones = Grading(G, {v: 1 for v in G.vertices})
+        return list(qv.pick_qltt(G, dims, ones, points, X, Y, **kw).values())
+    return [qv.pick_qltrd(G, dims, points, X, Y, **kw)]
+
+
+@pytest.mark.parametrize("criterion", ["qltoa", "qltt", "qltrd"])
+@pytest.mark.parametrize("shape", ["loop", "a_to_b"])
+def test_one_arrow_is_stein_solve(criterion, shape):
+    """One arrow is the Stein solve at any budget, and agrees with the level
+    recursion on the same data with an extra zero loop."""
+    G, G2, d = one_arrow_quivers()[shape]
+    loop = (set(G2.arrows) - set(G.arrows)).pop()
+    zero = np.zeros((d[G2.src[loop]],) * 2)
+    rng = np.random.default_rng(17)
+    if criterion == "qltoa":
+        points = [oa_point(rng, G, Grading(G, d), 0.8) for _ in range(3)]
+        X = [{v: cg(rng, d[v], 2) for v in G.vertices} for _ in range(3)]
+        Y = [{v: 0.5 * cg(rng, d[v], 2) for v in G.vertices} for _ in range(3)]
+    else:
+        points = [tensor_point(rng, G, Grading(G, d), 0.8) for _ in range(3)]
+        X = [cg(rng, 2, sum(d.values())) for _ in range(3)]
+        Y = [0.5 * cg(rng, 2, sum(d.values())) for _ in range(3)]
+    points2 = [QuiverPoint(p.kind, {**p.blocks, loop: zero}) for p in points]
+    one = quiver_picks(criterion, G, d, points, X, Y, budget=1)
+    several = quiver_picks(criterion, G2, d, points2, X, Y, series_tol=1e-14)
+    assert len(one) == len(several)
+    for r1, r2 in zip(one, several):
+        assert (r1.method, r1.tail_bound) == ("stein_solve", 0.0)
+        assert r2.method == "truncated_series"
+        assert np.max(np.abs(r1.pick - r2.pick)) <= 1e-12 + r2.tail_bound
+
 
 class TestPickQltt:
     def test_zero_points_basis_insertions_psd_when_equal(self):

@@ -1,13 +1,15 @@
 """The closed-form Pick builder reports.kernel_report and the criteria that
 only assemble data for it: disk FOV/LT/RT, Drury-Arveson FOV/LT and the
-constant-multiplier test."""
+constant-multiplier test; and empty input to the fixed-point criteria and
+CP maps."""
 
 import numpy as np
 import pytest
 
-from picklab import ball, disk
+from picklab import ball, cp, disk
 from picklab import quiver as qv
 from picklab.errors import DimensionError, DomainError, ShapeError
+from picklab.quiver import Grading
 
 
 def cg(rng, *shape):
@@ -86,3 +88,25 @@ def test_per_condition_spaces():
     assert np.array_equal(rt.pick, lt.pick)
     assert (lt.method, lt.tail_bound) == ("closed_form", 0.0)
 
+
+G2 = qv.two_vertex_example()[0]
+D2 = Grading(G2, {"a": 1, "b": 1})
+EMPTY_INPUT = [
+    (disk.pick_frd, ([], []), DimensionError),
+    (disk.pick_ltrd, ([], [], []), DimensionError),
+    (disk.pick_rtrd, ([], [], []), DimensionError),
+    (ball.pick_nc_frd, ([], []), DimensionError),
+    (cp.build_phi_disk, ([], [], []), DimensionError),
+    (cp.build_phi_star_disk, ([], [], []), DimensionError),
+    (qv.pick_qltt, (G2, D2, D2, [], [], []), ShapeError),
+    (qv.pick_qltrd, (G2, D2, [], [], []), ShapeError),
+    (cp.build_phi_bar_quiver, (G2, D2, D2, [], [], []), ShapeError),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, args, error", EMPTY_INPUT,
+    ids=[f"{fn.__module__}.{fn.__name__}" for fn, _, _ in EMPTY_INPUT])
+def test_empty_input_errors(fn, args, error):
+    with pytest.raises(error):
+        fn(*args)
