@@ -181,10 +181,11 @@ def pick_da_ltoa(operator_points, directions, targets, tol="auto",
                 f"tuple {k} is not commutative (commutator norm {defect:.3g})")
     if not literal_unweighted:
         return pick_nc_ltoa(Zs, directions, targets, tol, series_tol, budget)
-    X, Y, M = stacked_middle([Z.mats for Z in Zs], directions, targets)
+    M = stacked_middle([Z.mats for Z in Zs], directions, targets)[2]
     d = Zs[0].d
     plan = [_unweighted_level(r, norm0, d, series_tol, budget)
-            for r, norm0 in block_entries(X, Y, [Z.row_norm for Z in Zs])]
+            for r, norm0 in block_entries(M, [Z.dim for Z in Zs],
+                                          [Z.row_norm for Z in Zs])]
     Ls = [matcore.block_diag([Z.mats[k] for Z in Zs]) for k in range(d)]
     pick = _unweighted_multi_index_sum(Ls, M, max(m for m, _ in plan))
     return series_report(pick, np.reshape([t for _, t in plan], (len(Zs), len(Zs))),

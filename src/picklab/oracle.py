@@ -9,7 +9,11 @@ to reported tails).
 
 Certification routes
   disk polynomials   sup-norm on the circle via a fine grid plus a Lipschitz
-                     correction (the multiplier norm equals the sup norm)
+                     correction (the multiplier norm equals the sup norm);
+                     the grid values are one FFT of the padded coefficients
+                     and each point's norm is the top eigenvalue of a small
+                     Gram, whose rounding (about 1e-16 relative) sits far
+                     below the Lipschitz term (about 1e-3 relative)
   Blaschke products  inner functions have multiplier norm exactly |c|
   ball / quiver      triangle inequality over homogeneous levels; creation
                      operators of a fixed level have orthogonal ranges, so
@@ -84,19 +88,46 @@ def _complex_gaussian(rng, shape):
 def disk_sup_norm_bound(coefficients: Dict[int, np.ndarray], grid: int = 4096) -> float:
     """Certified upper bound on max_{|z|=1} ||S(z)|| for a matrix polynomial.
 
-    Grid maximum plus a Lipschitz correction sum_n n ||S_n|| * (pi / grid),
-    which dominates the derivative of theta -> ||S(e^(i theta))||.
+    Grid maximum of ||S(e^(i theta))|| over theta = 2 pi k / grid, plus a
+    Lipschitz correction sum_n n ||S_n|| * (pi / grid), which dominates the
+    derivative of theta -> ||S(e^(i theta))||.  The grid values are one FFT
+    of the zero-padded coefficients (it visits the same points in reverse
+    order); the norm at each point is the square root of the top eigenvalue
+    of the min(p, q)-square Gram, in closed form for sizes 1 and 2.  Its
+    rounding, about 1e-16 relative, is far below the Lipschitz term, about
+    1e-3 relative at the default grid.
+
+    Keys must be integers in [0, grid) (ArgumentError), and every
+    coefficient must have the same shape (ShapeError).
     """
     if not coefficients:
         return 0.0
+    for n in coefficients:
+        if not isinstance(n, (int, np.integer)) or not 0 <= n < grid:
+            raise ArgumentError(
+                f"coefficient key {n!r} is not an integer in [0, {grid})")
     ns = np.array(sorted(coefficients))
-    stack = np.stack([coefficients[n] for n in ns])
-    theta = 2 * np.pi * np.arange(grid) / grid
-    powers = np.exp(1j * np.outer(theta, ns))
-    vals = np.tensordot(powers, stack, axes=(1, 0))
-    best = float(np.linalg.svd(vals, compute_uv=False)[:, 0].max())
-    lipschitz = sum(n * matcore.operator_norm(C) for n, C in coefficients.items())
-    return best + lipschitz * np.pi / grid
+    stack = [as_complex_matrix(coefficients[n]) for n in ns]
+    shapes = {C.shape for C in stack}
+    if len(shapes) > 1:
+        raise ShapeError(f"coefficients must share one shape, got {sorted(shapes)}")
+    stack = np.stack(stack)
+    _, p, q = stack.shape
+    padded = np.zeros((p, q, grid), dtype=np.complex128)
+    padded[:, :, ns] = stack.transpose(1, 2, 0)
+    vals = np.fft.fft(padded, axis=-1)
+    if p > q:
+        vals = vals.swapaxes(0, 1)
+    gram = np.einsum("ikg,jkg->ijg", vals, vals.conj())
+    if len(gram) == 1:
+        top = gram[0, 0].real
+    elif len(gram) == 2:
+        a, c = gram[0, 0].real, gram[1, 1].real
+        top = (a + c) / 2 + np.hypot((a - c) / 2, np.abs(gram[0, 1]))
+    else:
+        top = np.linalg.eigvalsh(np.moveaxis(gram, -1, 0))[:, -1]
+    lipschitz = float(ns @ np.linalg.norm(stack, 2, axis=(1, 2)))
+    return math.sqrt(float(top.max())) + lipschitz * np.pi / grid
 
 
 def free_norm_bound(sample_coeffs, level_of, source_of) -> float:

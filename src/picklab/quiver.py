@@ -30,6 +30,7 @@ from .errors import (
 from .matcore import as_complex_matrix
 from .reports import (
     FeasibilityReport,
+    block_entries,
     fixed_point,
     fixed_point_report,
     kernel_report,
@@ -418,10 +419,9 @@ def pick_qltrd(G: Quiver, zdims: Grading, points, directions, targets,
     n, r = N * kappa, np.repeat(norms, kappa)
 
     def plan():
-        block_norms = np.linalg.norm(M.reshape(n, zdim, n, zdim).swapaxes(1, 2), 2,
-                                     axis=(-2, -1))
         levels, tails = matcore.plan_levels(
-            list(zip(np.outer(r, r).ravel(), zdim * block_norms.ravel())),
+            [(ratio, zdim * norm0)
+             for ratio, norm0 in block_entries(M, [zdim] * n, r)],
             len(G.arrows), series_tol,
             config.work_budget() if budget is None else budget)
         return levels, np.reshape(tails, (n, n))

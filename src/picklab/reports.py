@@ -136,37 +136,55 @@ def stacked_middle(letters, X, Y):
     return X, Y, Xs @ Xs.conj().T - Ys @ Ys.conj().T
 
 
-def block_entries(X, Y, row_norms):
-    """(r_i r_j, ||X_i X_j* - Y_i Y_j*||) per (i, j) block, row-major: the
-    ratio and starting norm of each block's geometric level sum."""
-    N = len(X)
-    return [(row_norms[i] * row_norms[j],
-             matcore.operator_norm(X[i] @ X[j].conj().T - Y[i] @ Y[j].conj().T))
-            for i in range(N) for j in range(N)]
+def pad_conditions(M, sizes):
+    """(Q, keep): M with condition i's block rows and columns zero-padded to
+    n = max(sizes), so Q is (N n, N n) and Q[ix_(keep, keep)] = M."""
+    sizes = np.asarray(sizes)
+    N, n = len(sizes), sizes.max()
+    keep = np.flatnonzero(np.arange(n) < sizes[:, None])
+    Q = np.zeros((N * n, N * n), dtype=np.complex128)
+    Q[np.ix_(keep, keep)] = M
+    return Q, keep
+
+
+def block_entries(M, sizes, row_norms):
+    """(r_i r_j, ||M_ij||) per (i, j) block, row-major: the ratio and
+    starting norm of each block's geometric level sum.
+
+    M_ij = X_i X_j* - Y_i Y_j* is the (i, j) block of the stacked middle,
+    condition i having sizes[i] rows.  All N^2 norms are one batched SVD of
+    the blocks of :func:`pad_conditions` (padding leaves a spectral norm
+    unchanged).
+    """
+    Q, _ = pad_conditions(M, sizes)
+    N = len(sizes)
+    n = len(Q) // N
+    norms = np.linalg.norm(Q.reshape(N, n, N, n).swapaxes(1, 2), 2, axis=(-2, -1))
+    r = np.asarray(row_norms, dtype=float)
+    return list(zip(np.outer(r, r).ravel().tolist(), norms.ravel().tolist()))
 
 
 def fixed_point(letters, M, plan):
     """The fixed point P = M + sum_a L_a P L_a*, L_a = blockdiag_i letters[i][a].
 
     Returns (P, tails).  One arrow is solved by stacked Smith doubling
-    (blocks of unequal size are zero-padded and the padding dropped
-    afterwards); tails is None and plan is never called.  Several arrows
-    run the level recursion to the largest level of levels, tails = plan(),
-    so only several-arrow inputs pay for the plan's norms or its BudgetError.
+    (blocks of unequal size are zero-padded by :func:`pad_conditions` and
+    the padding dropped afterwards); tails is None and plan is never called.
+    Several arrows run the level recursion to the largest level of levels,
+    tails = plan(), so only several-arrow inputs pay for the plan's norms or
+    its BudgetError.
     """
     N, arrows = len(letters), len(letters[0])
     if arrows > 1:
         levels, tails = plan()
         Ls = [matcore.block_diag([L[a] for L in letters]) for a in range(arrows)]
         return matcore.level_sum(Ls, M, max(levels)), tails
-    sizes = np.array([len(L[0]) for L in letters])
-    n = sizes.max()
+    sizes = [len(L[0]) for L in letters]
+    Q, keep = pad_conditions(M, sizes)
+    n = len(Q) // N
     T = np.zeros((N, n, n), dtype=np.complex128)
     for Ti, L, k in zip(T, letters, sizes):
         Ti[:k, :k] = L[0]
-    keep = np.flatnonzero(np.arange(n) < sizes[:, None])
-    Q = np.zeros((N * n, N * n), dtype=np.complex128)
-    Q[np.ix_(keep, keep)] = M
     return matcore.solve_stein(T, Q, T)[np.ix_(keep, keep)], None
 
 
@@ -183,7 +201,8 @@ def fixed_point_report(letters, X, Y, row_norms, tol="auto", series_tol=1e-12,
 
     def plan():
         levels, tails = matcore.plan_levels(
-            block_entries(X, Y, row_norms), len(letters[0]), series_tol,
+            block_entries(M, [len(x) for x in X], row_norms), len(letters[0]),
+            series_tol,
             config.work_budget() if budget is None else budget)
         return levels, np.reshape(tails, (len(X), len(X)))
 

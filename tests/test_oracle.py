@@ -5,7 +5,7 @@ import pytest
 
 from picklab import ball, matcore, oracle, serialize
 from picklab import quiver as qv
-from picklab.errors import ArgumentError, DomainError
+from picklab.errors import ArgumentError, DomainError, ShapeError
 from picklab.quiver import Grading, QuiverPoint
 
 
@@ -137,6 +137,53 @@ class TestContractivePoly:
         norm_path = oracle.toeplitz_truncation_norm(s, L)
         assert norm_path <= norm_mult + 1e-10
         assert norm_mult <= s.norm_bound + 1e-10
+
+
+def svd_sup_norm_bound(coefficients, grid=4096):
+    """The certificate spelled out: grid maximum of the largest singular
+    value at e^(i theta_k), plus the Lipschitz term."""
+    theta = 2 * np.pi * np.arange(grid) / grid
+    vals = sum(np.exp(1j * n * theta)[:, None, None] * np.asarray(C)
+               for n, C in coefficients.items())
+    best = np.linalg.svd(vals, compute_uv=False)[:, 0].max()
+    lipschitz = sum(n * np.linalg.norm(C, 2) for n, C in coefficients.items())
+    return best + lipschitz * np.pi / grid
+
+
+class TestDiskSupNormBound:
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (2, 3), (3, 2), (3, 3),
+                                       (1, 4), (4, 1)])
+    def test_matches_svd_reference(self, shape):
+        rng = np.random.default_rng(sum(shape) * 10 + shape[0])
+        for degree in range(6):
+            coeffs = {n: cg(rng, *shape) for n in range(degree + 1)}
+            ref = svd_sup_norm_bound(coeffs)
+            assert abs(oracle.disk_sup_norm_bound(coeffs) - ref) <= 1e-13 * ref
+
+    def test_sparse_keys_and_small_grid(self):
+        rng = np.random.default_rng(3)
+        coeffs = {1: cg(rng, 2, 2), 4: cg(rng, 2, 2)}
+        for grid in (5, 16, 4096):
+            ref = svd_sup_norm_bound(coeffs, grid)
+            assert abs(oracle.disk_sup_norm_bound(coeffs, grid) - ref) <= 1e-13 * ref
+
+    @pytest.mark.parametrize("key", [-1, 2.5, "1", 4096])
+    def test_non_taylor_keys_rejected(self, key):
+        # a negative key would make the Lipschitz term negative and the
+        # "bound" fall below the true sup norm 1
+        with pytest.raises(ArgumentError):
+            oracle.disk_sup_norm_bound({0: [[0.5]], key: [[1.0]]})
+
+    def test_grid_not_above_degree_rejected(self):
+        coeffs = {n: np.eye(2) for n in range(4)}
+        for grid in (0, 2, 3):
+            with pytest.raises(ArgumentError):
+                oracle.disk_sup_norm_bound(coeffs, grid)
+        assert oracle.disk_sup_norm_bound(coeffs, 4) >= 4.0
+
+    def test_coefficients_of_different_shapes_rejected(self):
+        with pytest.raises(ShapeError):
+            oracle.disk_sup_norm_bound({0: np.eye(2), 1: np.ones((2, 3))})
 
 
 class TestDeterminism:
