@@ -8,14 +8,14 @@ L_k = blockdiag_i Z_k^(i).  The commutative (Drury-Arveson) criteria at
 scalar points are the closed form of :func:`picklab.reports.kernel_report`
 with the kernel 1/(1 - <lam_i, lam_j>) (FOV is LT with X_i = I); at
 operator tuples they reuse the word sum, which equals the
-multinomial-weighted multi-index sum; the literal unweighted multi-index
-sum is available behind a flag for comparison.
+multinomial-weighted multi-index sum.  The literal unweighted multi-index
+sum is the polydisk Szego kernel, a product of one-variable disk kernels,
+so at commuting tuples it is d nested one-arrow fixed points.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -26,7 +26,7 @@ from .errors import ArgumentError, BudgetError, DimensionError, DomainError
 from .matcore import as_complex_matrix
 from .reports import (
     FeasibilityReport,
-    block_entries,
+    fixed_point,
     fixed_point_report,
     fov_as_lt,
     kernel_report,
@@ -163,76 +163,28 @@ def pick_da_lt(points, directions, targets, tol="auto") -> FeasibilityReport:
 
 def pick_da_ltoa(operator_points, directions, targets, tol="auto",
                  series_tol=1e-12, budget: Optional[int] = None,
-                 literal_unweighted: bool = False,
-                 commutativity_tol: float = 1e-12) -> FeasibilityReport:
+                 literal_unweighted: bool = False) -> FeasibilityReport:
     """Drury-Arveson operator-argument Pick matrix for commuting tuples.
 
     Computed as the free word sum, equivalently the multi-index sum with
     multinomial weights |n|!/n! (the weights reproduce the kernel
     1/(1 - <lam, zeta>) under scalar reduction).  literal_unweighted=True
-    instead computes the plain sum over multi-indices.
+    instead computes the plain sum over multi-indices, the polydisk kernel
+    prod_k 1/(1 - lam_k conj(zeta_k)): since the tuples commute it is d
+    nested one-arrow fixed points, one per coordinate ("stein_solve").
     """
-    budget = config.work_budget() if budget is None else budget
     Zs = _check_strict_row(operator_points)
     for k, Z in enumerate(Zs):
         defect = Z.commutator_defect()
-        if defect > commutativity_tol:
+        if defect > 1e-12:
             raise DomainError(
                 f"tuple {k} is not commutative (commutator norm {defect:.3g})")
     if not literal_unweighted:
         return pick_nc_ltoa(Zs, directions, targets, tol, series_tol, budget)
-    M = stacked_middle([Z.mats for Z in Zs], directions, targets)[2]
-    d = Zs[0].d
-    plan = [_unweighted_level(r, norm0, d, series_tol, budget)
-            for r, norm0 in block_entries(M, [Z.dim for Z in Zs],
-                                          [Z.row_norm for Z in Zs])]
-    Ls = [matcore.block_diag([Z.mats[k] for Z in Zs]) for k in range(d)]
-    pick = _unweighted_multi_index_sum(Ls, M, max(m for m, _ in plan))
-    return series_report(pick, np.reshape([t for _, t in plan], (len(Zs), len(Zs))),
-                         tol)
-
-
-def _unweighted_level(r, norm0, d, series_tol, budget):
-    """Stopping level and tail of one block of the unweighted multi-index sum.
-
-    BudgetError once the multi-indices the block needs exceed the budget.
-    """
-    if norm0 == 0.0:
-        return 0, 0.0
-    m = 0
-    work = 0
-    while True:
-        # tail bound: sum_{m' > m} C(m'+d-1, d-1) r^m' norm0, via ratio test
-        head = math.comb(m + d, d - 1) * r ** (m + 1) * norm0
-        q = r * (m + d) / (m + 1)
-        if q < 1.0 and head / (1.0 - q) <= series_tol:
-            return m, head / (1.0 - q)
-        work += math.comb(m + d, d - 1)  # multi-indices of size m + 1
-        if work > budget:
-            raise BudgetError(
-                "unweighted multi-index sum exceeded the work budget",
-                achieved_bound=head)
-        m += 1
-
-
-def _unweighted_multi_index_sum(Ls, M, levels):
-    """sum over n in Z_+^d, |n| <= levels (coefficient 1) of L^n M L^n*."""
-    d = len(Ls)
-    acc = M.copy()
-    level = {(0,) * d: M}
-    for m in range(levels):
-        nxt = {}
-        for n in itertools.combinations_with_replacement(range(d), m + 1):
-            counts = [0] * d
-            for k in n:
-                counts[k] += 1
-            idx = tuple(counts)
-            k = next(p for p, c in enumerate(counts) if c > 0)
-            prev = tuple(c - (1 if p == k else 0) for p, c in enumerate(counts))
-            nxt[idx] = Ls[k] @ level[prev] @ Ls[k].conj().T
-            acc += nxt[idx]
-        level = nxt
-    return acc
+    P = stacked_middle([Z.mats for Z in Zs], directions, targets)[2]
+    for k in range(Zs[0].d):
+        P = fixed_point([[Z.mats[k]] for Z in Zs], P, None)[0]
+    return series_report(P, None, tol)
 
 
 def pick_nc_frd(operator_points, values, basis_dim: Optional[int] = None,

@@ -186,6 +186,8 @@ def nevanlinna_rd_check(operator_point, value, basis_dim=None, tol="auto"):
     W = as_complex_matrix(value)
     if Z.shape != W.shape or Z.shape[0] != Z.shape[1]:
         raise DimensionError("Z and W must be square with equal shapes")
+    if basis_dim == 0:
+        raise ArgumentError("basis dimension must be positive")
     kappa = basis_dim or Z.shape[0]
     if kappa != Z.shape[0]:
         raise DimensionError("basis dimension must equal dim of the Z space")

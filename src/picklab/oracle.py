@@ -328,25 +328,8 @@ def eval_tensor(sample: SchurSample, operator_point) -> np.ndarray:
     return out
 
 
-def eval_ball_point(sample: SchurSample, point) -> np.ndarray:
-    """S(lam) = sum_g lam^g S_g at a scalar ball point."""
-    _require_setting(sample, "ball")
-    lam = np.asarray(point, dtype=np.complex128).reshape(-1)
-    if float(np.sum(np.abs(lam) ** 2)) >= 1.0:
-        raise DomainError("point lies outside the open unit ball")
-    out = np.zeros(sample.shape, dtype=np.complex128)
-    for w, C in sample.coefficients.items():
-        out += np.prod([lam[k - 1] for k in w]) * C if w else C
-    return out
-
-
-def eval_ball_ltoa(sample: SchurSample, direction, operator_point,
-                   transpose_words: bool = True) -> np.ndarray:
-    """(X S)^L(Z) = sum_g Z^(gT) X S_g over the supported words.
-
-    transpose_words=False evaluates with the untransposed powers Z^g; for
-    commuting tuples the two agree.
-    """
+def eval_ball_ltoa(sample: SchurSample, direction, operator_point) -> np.ndarray:
+    """(X S)^L(Z) = sum_g Z^(gT) X S_g over the supported words."""
     _require_setting(sample, "ball")
     Z = ball_mod.as_operator_tuple(operator_point)
     if Z.row_norm >= 1.0:
@@ -354,19 +337,9 @@ def eval_ball_ltoa(sample: SchurSample, direction, operator_point,
     X = as_complex_matrix(direction)
     out = np.zeros((Z.dim, sample.shape[1]), dtype=np.complex128)
     for w, C in sample.coefficients.items():
-        P = ball_mod.word_power(Z, w, transpose=transpose_words)
+        P = ball_mod.word_power(Z, w, transpose=True)
         out += P @ X @ C
     return out
-
-
-def eval_quiver(sample: SchurSample, mode: str, **kwargs) -> np.ndarray:
-    """Dispatch to the tensor or operator-argument quiver evaluation."""
-    if mode == "tensor":
-        return eval_quiver_tensor(sample, kwargs["operator_point"], kwargs["zdims"])
-    if mode == "ltoa":
-        return eval_quiver_ltoa(sample, kwargs["direction"],
-                                kwargs["operator_point"], kwargs["xdims"])
-    raise ArgumentError(f"unknown quiver evaluation mode {mode!r}")
 
 
 def _graded_product_dims(grading_a: Grading, grading_b: Grading):

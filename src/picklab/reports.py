@@ -33,7 +33,8 @@ class FeasibilityReport:
                 with d = 1, or a quiver with one arrow under any of the
                 three quiver criteria (qltt, qltrd, qltoa), is a one-arrow
                 fixed point, so it reports "stein_solve" with tail 0 and
-                never raises BudgetError.
+                never raises BudgetError.  So does the literal unweighted
+                Drury-Arveson sum, d nested one-arrow fixed points.
     tail_bound  certified bound on the dropped series tail (0 unless
                 "truncated_series")
     """

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -237,6 +240,58 @@ class TestPickDa:
                     X[i] @ X[j].conj().T - Y[i] @ Y[j].conj().T)
         assert np.max(np.abs(rep.pick - matcore.hermitize(expect))) \
             <= 1e-11 + rep.tail_bound
+
+    @pytest.mark.parametrize("d, sizes, seed", [(2, [2, 3], 15), (3, [1, 3], 16),
+                                                (3, [2, 2, 1], 17)])
+    def test_literal_unweighted_matches_multi_index_sum(self, d, sizes, seed):
+        # non-normal commuting tuples S diag S^-1, conditions of unequal size;
+        # reference: sum over n in Z_+^d, |n| < L, of Z^n M Z^n* on the
+        # stacked blocks, cut with the geometric tail
+        # ||M|| sum_{m >= L} C(m + d - 1, d - 1) r^(2m), r the largest row norm
+        rng = np.random.default_rng(seed)
+        tuples = []
+        for n in sizes:
+            S = np.eye(n) + 0.3 * cg(rng, n, n)
+            diags = rng.uniform(-1, 1, (d, n)) + 1j * rng.uniform(-1, 1, (d, n))
+            mats = [S @ np.diag(z) @ np.linalg.inv(S) for z in diags]
+            scale = 0.6 / matcore.operator_norm(np.hstack(mats))
+            tuples.append([M * scale for M in mats])
+        X = [cg(rng, n, 2) for n in sizes]
+        Y = [cg(rng, n, 2) for n in sizes]
+        rep = ball.pick_da_ltoa(tuples, X, Y, literal_unweighted=True)
+        assert (rep.method, rep.tail_bound) == ("stein_solve", 0.0)
+
+        Ls = [matcore.block_diag([Z[k] for Z in tuples]) for k in range(d)]
+        Xs, Ys = np.vstack(X), np.vstack(Y)
+        M = Xs @ Xs.conj().T - Ys @ Ys.conj().T
+        L = 40
+        powers = [[np.linalg.matrix_power(Lk, e) for e in range(L)] for Lk in Ls]
+        ref = np.zeros_like(M)
+        for n in itertools.product(range(L), repeat=d):
+            if sum(n) < L:
+                Ln = np.linalg.multi_dot([powers[k][e] for k, e in enumerate(n)])
+                ref += Ln @ M @ Ln.conj().T
+        r = max(matcore.operator_norm(np.hstack(Z)) for Z in tuples)
+        tail = matcore.operator_norm(M) * sum(
+            math.comb(m + d - 1, d - 1) * r ** (2 * m) for m in range(L, 400))
+        err = matcore.operator_norm(rep.pick - matcore.hermitize(ref))
+        assert err <= 1e-12 * matcore.operator_norm(ref) + tail
+
+    def test_literal_unweighted_near_boundary_is_one_stein_solve(self):
+        # coordinates of modulus up to 0.999 need thousands of multi-index
+        # levels; the nested one-arrow solve takes no budget
+        pts = np.array([[0.999, 0.0], [0.0, 0.999j], [0.7, 0.7j], [-0.5j, 0.85]])
+        rng = np.random.default_rng(18)
+        X = [cg(rng, 1, 2) for _ in pts]
+        Y = [0.1 * cg(rng, 1, 2) for _ in pts]
+        tuples = [[[[z]] for z in p] for p in pts]
+        rep = ball.pick_da_ltoa(tuples, X, Y, budget=1, literal_unweighted=True)
+        assert (rep.method, rep.tail_bound) == ("stein_solve", 0.0)
+        kern = np.prod(1 / (1 - pts[:, None, :] * pts[None, :, :].conj()), axis=2)
+        Xs, Ys = np.vstack(X), np.vstack(Y)
+        expect = matcore.hermitize(kern * (Xs @ Xs.conj().T - Ys @ Ys.conj().T))
+        assert matcore.operator_norm(rep.pick - expect) \
+            <= 1e-12 * matcore.operator_norm(expect)
 
     def test_abelianization_word_sum_permutation_invariant(self):
         # for commuting tuples the enumerated word sum groups into

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from picklab import cli
@@ -298,6 +299,33 @@ class TestLiteralUnweightedFlag:
         # word sum gives 1/(1 - 0.09 - 0.16); literal gives the product kernel
         assert w == pytest.approx(1 / (1 - 0.25), abs=1e-9)
         assert l == pytest.approx(1 / ((1 - 0.09) * (1 - 0.16)), abs=1e-9)
+
+    @pytest.mark.parametrize("extra", [[], ["--max-level", "5"]])
+    def test_near_boundary_literal_sum_is_one_stein_solve(self, tmp_path, capsys,
+                                                          extra):
+        # |lam_2| = 0.85 needs hundreds of multi-index levels; the nested
+        # one-arrow solve takes no budget, so --max-level does not apply
+        req = {
+            "schema_version": "1",
+            "setting": "ball.da_ltoa",
+            "payload": {
+                "operator_points": [[[[[0.7, 0.0]]], [[[0.0, 0.7]]]],
+                                    [[[[0.0, -0.5]]], [[[0.85, 0.0]]]]],
+                "directions": [[[[1.0, 0.0]]], [[[1.0, 0.0]]]],
+                "targets": [[[[0.3, 0.0]]], [[[0.2, 0.0]]]],
+            },
+        }
+        p = tmp_path / "req.json"
+        p.write_text(json.dumps(req))
+        code, doc = run_cli(["check", str(p), "--literal-unweighted"] + extra,
+                            capsys)
+        assert code == 0
+        assert doc["method"] == "stein_solve"
+        pts = np.array([[0.7, 0.7j], [-0.5j, 0.85]])
+        y = np.array([0.3, 0.2])
+        kern = np.prod(1 / (1 - pts[:, None, :] * pts[None, :, :].conj()), axis=2)
+        expect = np.linalg.eigvalsh(kern * (1 - np.outer(y, y)))[0]
+        assert doc["min_eigenvalue"] == pytest.approx(expect, rel=1e-12)
 
 
 class TestChoiCommands:

@@ -289,6 +289,16 @@ class TestNevanlinnaRd:
         with pytest.raises(DomainError):
             disk.nevanlinna_rd_check([[-1.0]], [[0.0]])
 
+    def test_zero_basis_dim_rejected(self):
+        # 0 is a dimension, not "unset": the same error as pick_frd
+        for call in (
+                lambda: disk.nevanlinna_rd_check(np.eye(2), np.eye(2), basis_dim=0),
+                lambda: disk.pick_frd([np.zeros((2, 2))], [np.eye(2)], basis_dim=0)):
+            with pytest.raises(ArgumentError, match="basis dimension must be positive"):
+                call()
+        assert disk.nevanlinna_rd_check(np.eye(2), np.eye(2),
+                                        basis_dim=2).method == "closed_form"
+
 
 def test_necessity_all_disk_variants():
     from picklab import necessity

@@ -294,7 +294,7 @@ class TestEvaluations:
         zd = Grading(G, {"a": 2, "b": 2})
         pt = QuiverPoint("tensor", {"alpha": np.zeros((2, 2)),
                                     "beta": np.zeros((2, 2))})
-        val = oracle.eval_quiver(s, "tensor", operator_point=pt, zdims=zd)
+        val = oracle.eval_quiver_tensor(s, pt, zd)
         v0 = s.coefficients[G.vertex_path("a")][0, 0]
         b0 = s.coefficients[G.vertex_path("b")][0, 0]
         expect = np.zeros((4, 4), dtype=complex)
@@ -314,7 +314,7 @@ class TestEvaluations:
         Zb = cg(rng, 2, 2)
         Zb *= 0.5 / matcore.operator_norm(Zb)
         pt = QuiverPoint("tensor", {"alpha": Za, "beta": Zb})
-        val = oracle.eval_quiver(s, "tensor", operator_point=pt, zdims=zd)
+        val = oracle.eval_quiver_tensor(s, pt, zd)
         v_n, w_n, b0 = {}, {}, 0.0
         for path, C in s.coefficients.items():
             if path.source == "a" and path.target == "a":
@@ -342,7 +342,7 @@ class TestEvaluations:
         mats = [M * scale for M in mats]
         zd = Grading(G, {"v": 2})
         pt = QuiverPoint("tensor", {"l0": mats[0], "l1": mats[1]})
-        val = oracle.eval_quiver(s, "tensor", operator_point=pt, zdims=zd)
+        val = oracle.eval_quiver_tensor(s, pt, zd)
         # ball twin: word letters chronological-reversed arrow names
         ball_coeffs = {}
         for path, C in s.coefficients.items():
