@@ -10,7 +10,7 @@ Nevanlinna class via Lyapunov equations.
 
 import numpy as np
 
-from picklab import disk, matcore, oracle
+from picklab import disk, matcore, oracle, reports
 
 rng = np.random.default_rng(7)
 
@@ -31,10 +31,11 @@ print("perturbed W   : min eig %.3g -> feasible: %s"
       % (report_bad.min_eigenvalue, report_bad.feasible))
 
 # --- the basis expansion, made explicit ----------------------------------
-ds = disk.expand_rd_to_ltoa(disk.DiskDataset("FRD", [Z], values=[W]))
-print("one matrix condition became", len(ds.points),
+# FRD is RTRD with U = I: condition k carries Z, e_k and W e_k.
+points, directions, targets = reports.basis_columns([Z], [np.eye(2)], [W])
+print("one matrix condition became", len(points),
       "tangential conditions (kappa = dim Z)")
-pipeline = disk.pick_ltoa(ds.points, ds.directions, ds.targets)
+pipeline = disk.pick_ltoa(points, directions, targets)
 print("expansion reproduces the criterion exactly:",
       np.array_equal(pipeline.pick, report.pick))
 

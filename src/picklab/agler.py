@@ -23,7 +23,7 @@ import numpy as np
 from . import matcore
 from .errors import ArgumentError, BudgetError, DimensionError, DomainError
 from .matcore import as_complex_matrix
-from .reports import stacked_middle
+from .reports import basis_columns, stacked_middle
 
 VARIABLE_BUDGET = 20000
 DEFAULT_TOL = 1e-6
@@ -108,9 +108,9 @@ def nc_rd_problem(tuples, values, basis_dim: Optional[int] = None) -> AglerProbl
     e_i' e_j'* - W_i e_i' e_j'* W_j*.
     """
     tuples = [[as_complex_matrix(T) for T in tup] for tup in tuples]
-    values = [as_complex_matrix(W) for W in values]
-    ex_tuples, ex_dirs, ex_targets = matcore.basis_expansion(
-        tuples, values, tuples[0][0].shape[0], basis_dim)
+    identities = [np.eye(len(tup[0]), dtype=np.complex128) for tup in tuples]
+    ex_tuples, ex_dirs, ex_targets = basis_columns(tuples, identities, values,
+                                                   basis_dim)
     return AglerProblem(len(tuples[0]), ex_tuples, ex_dirs, ex_targets,
                         variant="nc_rd")
 

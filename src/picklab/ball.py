@@ -26,6 +26,7 @@ from .errors import ArgumentError, BudgetError, DimensionError, DomainError
 from .matcore import as_complex_matrix
 from .reports import (
     FeasibilityReport,
+    basis_columns,
     fixed_point,
     fixed_point_report,
     fov_as_lt,
@@ -196,15 +197,9 @@ def pick_nc_frd(operator_points, values, basis_dim: Optional[int] = None,
     Z_i^g (e_i' e_j'* - W_i e_i' e_j'* W_j*) Z_j^g*.
     """
     Zs = _check_strict_row(operator_points)
-    W = [as_complex_matrix(M) for M in values]
-    if len(W) != len(Zs) or not Zs:
-        raise DimensionError("need one value per point, and at least one point")
-    dim = Zs[0].dim
-    for Z, Wi in zip(Zs, W):
-        if Z.dim != dim or Wi.shape != (dim, dim):
-            raise DimensionError("values and tuples must share one square dimension")
-    ex_points, ex_dirs, ex_targets = matcore.basis_expansion(Zs, W, dim, basis_dim)
-    return pick_nc_ltoa(ex_points, ex_dirs, ex_targets, tol, series_tol, budget)
+    identities = [np.eye(Z.dim, dtype=np.complex128) for Z in Zs]
+    return pick_nc_ltoa(*basis_columns(Zs, identities, values, basis_dim), tol,
+                        series_tol, budget)
 
 
 def pick_nc_frd_star(operator_points, values, basis_dim: Optional[int] = None,

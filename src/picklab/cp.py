@@ -6,8 +6,11 @@ serializable.  Finite-dimensionally, complete positivity is equivalent to
 the Choi matrix being PSD; the constructors below build the maps whose
 complete positivity is equivalent to the disk and quiver Pick criteria
 (their Choi matrices reproduce those Pick matrices after an index
-permutation).  The disk maps make one stacked Stein solve; the quiver maps
-embed the vertex matrices of :func:`picklab.quiver.pick_qltt`.
+permutation).  They solve nothing themselves but embed Pick builders: the
+adjoint-side disk map the fixed point of :func:`picklab.disk.pick_ltrd`,
+the disk map the vertex matrix of :func:`picklab.quiver.qltt_vertex_matrix`
+on the one-loop quiver, and the quiver maps the vertex matrices of
+:func:`picklab.quiver.pick_qltt`.
 """
 
 from __future__ import annotations
@@ -17,11 +20,12 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import matcore
+from . import disk, matcore
 from . import quiver as quiver_mod
 from .errors import ArgumentError, DimensionError, DomainError, MapError
 from .matcore import as_complex_matrix
 from .quiver import Grading, Quiver
+from .reports import basis_columns, fixed_point, stacked_middle
 
 
 @dataclass(eq=False)
@@ -157,79 +161,63 @@ def conditional_expectation_map(block_dims: Sequence[int]) -> LinearMapOnMatrice
     return blockwise_conditional_expectation(block_dims, 1)
 
 
+def _disk_points(operator_points) -> list:
+    """Operator points of one square dimension, each of spectral radius < 1."""
+    Z = [as_complex_matrix(M) for M in operator_points]
+    for M in Z:
+        if M.shape != Z[0].shape or M.shape[0] != M.shape[1]:
+            raise DimensionError("operator points must share one square dimension")
+        if matcore.spectral_radius(M) >= 1.0:
+            raise DomainError("operator points must have spectral radius < 1")
+    return Z
+
+
 def build_phi_disk(operator_points, directions, targets) -> LinearMapOnMatrices:
     """CP-test map for tensor-calculus disk interpolation X_i S(Z_i) = Y_i.
 
     phi([B_ij]) = [sum_n X_i (I kron Z_i^n B_ij Z_j*^n) X_j*
-                   - Y_i (I kron Z_i^n B_ij Z_j*^n) Y_j*], with the inner
-    geometric sums for all units computed exactly by one stacked Stein
-    solve.  Its Choi matrix collapses to the standard tangential Pick matrix
-    when the tensor factor is trivial.
+                   - Y_i (I kron Z_i^n B_ij Z_j*^n) Y_j*]: the disk is the
+    one-vertex, one-loop quiver, so the matrix is the vertex matrix of
+    :func:`picklab.quiver.qltt_vertex_matrix` (one arrow, so it never plans
+    and the points need spectral radius < 1, not row norm < 1).  Its Choi
+    matrix collapses to the standard tangential Pick matrix when the tensor
+    factor is trivial.
     """
-    Z = [as_complex_matrix(M) for M in operator_points]
+    Z = _disk_points(operator_points)
     X = [as_complex_matrix(M) for M in directions]
     Y = [as_complex_matrix(M) for M in targets]
     N = len(Z)
     if not (len(X) == len(Y) == N) or not N:
         raise DimensionError("need one direction and one target per point, "
                              "and at least one point")
-    g = Z[0].shape[0]
-    for M in Z:
-        if M.shape != (g, g):
-            raise DimensionError("operator points must share one square dimension")
-        if matcore.spectral_radius(M) >= 1.0:
-            raise DomainError("operator points must have spectral radius < 1")
-    e = X[0].shape[0]
+    g, e = Z[0].shape[0], X[0].shape[0]
     if e % g != 0:
         raise DimensionError("direction dimension must be a multiple of dim Z")
-    v = e // g
     for M in X + Y:
         if M.shape != (e, e):
             raise DimensionError("directions/targets must be square of V kron Z size")
-    # conditions (i, a): point Z_i with the unit vector e_a, so block
-    # ((i, a), (j, b)) of the stacked solve is sum_n Z_i^n e_ab Z_j*^n
-    units = np.tile(np.eye(g, dtype=np.complex128), (N, 1)).reshape(-1, 1)
-    Zs = np.repeat(np.array(Z), g, axis=0)
-    S = matcore.solve_stein(Zs, units @ units.T, Zs)
-    out = 0
-    for k in range(v):
-        for F, sign in ((X, 1.0), (Y, -1.0)):
-            R = np.repeat(np.array(F)[:, :, k * g:(k + 1) * g], g, axis=0)
-            out = out + sign * matcore.sandwich(R, S, R)
-    return _condition_blockwise_map(out, N, g, e)
+    G = Quiver(("v",), ("z",), {"z": "v"}, {"z": "v"})
+    pick, _ = quiver_mod.qltt_vertex_matrix(
+        G, Grading(G, {"v": g}), Grading(G, {"v": e // g}),
+        np.array(Z)[:, None], X, Y, "v", None)
+    return _condition_blockwise_map(pick, N, g, e)
 
 
 def build_phi_star_disk(operator_points, directions, targets) -> LinearMapOnMatrices:
     """Adjoint-side CP-test map for scalar functional-calculus interpolation.
 
     phi*([C_ij]) = [sum_n Z_i*^n (X_i* C_ij X_j - Y_i* C_ij Y_j) Z_j^n]; its
-    Choi matrix equals the functional-calculus tangential Pick matrix after
-    the (i, i') index identification.
+    Choi matrix is the Pick matrix of :func:`picklab.disk.pick_ltrd` after
+    the (i, i') index identification.  So its unit images are that
+    criterion's fixed point on the same :func:`picklab.reports.basis_columns`
+    data, without the report's PSD verdict (the CP check takes its own).
     """
-    Z = [as_complex_matrix(M) for M in operator_points]
-    X = [as_complex_matrix(M) for M in directions]
-    Y = [as_complex_matrix(M) for M in targets]
-    N = len(Z)
-    if not (len(X) == len(Y) == N) or not N:
-        raise DimensionError("need one direction and one target per point, "
-                             "and at least one point")
-    z = Z[0].shape[0]
-    c = X[0].shape[0]
-    for M in Z:
-        if M.shape != (z, z):
-            raise DimensionError("operator points must share one square dimension")
-        if matcore.spectral_radius(M) >= 1.0:
-            raise DomainError("operator points must have spectral radius < 1")
-    for M in X + Y:
-        if M.shape != (c, z):
-            raise DimensionError("directions/targets must map the Z space to C")
-    # conditions (i, a): block ((i, a), (j, b)) of the stacked middle is
-    # X_i* e_ab X_j - Y_i* e_ab Y_j
-    x = np.concatenate([M.conj().ravel() for M in X]).reshape(-1, 1)
-    y = np.concatenate([M.conj().ravel() for M in Y]).reshape(-1, 1)
-    Zs = np.repeat(np.array(Z).conj().transpose(0, 2, 1), c, axis=0)
-    S = matcore.solve_stein(Zs, x @ x.conj().T - y @ y.conj().T, Zs)
-    return _condition_blockwise_map(S, N, c, z)
+    Z = _disk_points(operator_points)
+    points, X, Y = basis_columns(*disk.sharp_ltoa_to_rtoa(Z, directions, targets))
+    letters = [[A] for A in points]
+    P = fixed_point(letters, stacked_middle(letters, X, Y)[2], None)[0]
+    N, z = len(Z), Z[0].shape[0]
+    return _condition_blockwise_map(P, N, len(P) // (N * z), z)
 
 
 def _condition_blockwise_map(stacked, N: int, n: int, m: int) -> LinearMapOnMatrices:

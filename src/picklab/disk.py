@@ -5,16 +5,15 @@ variants (the Szego-kernel closed form of
 :func:`picklab.reports.kernel_report`; FOV is LT with X_i = I and RT is LT
 on the sharp data), operator-argument variants (the one-arrow fixed point
 of :func:`picklab.reports.fixed_point_report`), the three
-functional-calculus variants with a finite basis expansion, and the
-right-half-plane Lyapunov criterion for the Nevanlinna class.  Each
-criterion returns a FeasibilityReport whose Pick matrix is positive
-semidefinite exactly when the interpolation problem is solvable.
+functional-calculus variants (the same fixed point on the basis expansion
+of :func:`picklab.reports.basis_columns`; FRD is RTRD with U_i = I and LTRD
+is RTRD on the sharp data), and the right-half-plane Lyapunov criterion for
+the Nevanlinna class.  Each criterion returns a FeasibilityReport whose Pick
+matrix is positive semidefinite exactly when the interpolation problem is
+solvable.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -23,6 +22,7 @@ from .errors import ArgumentError, DimensionError, DomainError
 from .matcore import as_complex_matrix
 from .reports import (
     FeasibilityReport,
+    basis_columns,
     fixed_point_report,
     fov_as_lt,
     kernel_report,
@@ -89,89 +89,31 @@ def pick_rtoa(operator_points, directions, targets, tol="auto") -> FeasibilityRe
     return pick_ltoa(*sharp_ltoa_to_rtoa(operator_points, directions, targets), tol)
 
 
-@dataclass(frozen=True)
-class DiskDataset:
-    """Data for one disk interpolation problem.
-
-    variant      FOV | LT | RT | LTOA | RTOA | FRD | LTRD | RTRD
-    points       complex scalars (FOV/LT/RT) or square matrices (others)
-    directions   X_i (left variants) or U_i (right variants), None for FOV/FRD
-    targets      Y_i or V_i, None for FOV/FRD
-    values       W_i for FOV/FRD
-    basis_dim    kappa for the functional-calculus variants
-    """
-
-    variant: str
-    points: Sequence
-    directions: Optional[Sequence] = None
-    targets: Optional[Sequence] = None
-    values: Optional[Sequence] = None
-    basis_dim: Optional[int] = None
-
-
-def _basis_columns(dim: int):
-    return [np.eye(dim, dtype=np.complex128)[:, k:k + 1] for k in range(dim)]
-
-
-def expand_rd_to_ltoa(dataset: DiskDataset) -> DiskDataset:
-    """Cartesian basis expansion of the functional-calculus variants.
-
-    FRD and RTRD become LTOA datasets with N*kappa conditions
-    (T_(i,j) = Z_i, x_(i,j) = U_i e_j, y_(i,j) = V_i e_j); LTRD becomes an
-    RTOA dataset through the mirror expansion by basis rows.
-    """
-    variant = dataset.variant.upper()
-    Z = [as_complex_matrix(P) for P in dataset.points]
-    if not Z:
-        raise DimensionError("need at least one point")
-    if dataset.basis_dim is not None and dataset.basis_dim == 0:
-        raise ArgumentError("basis dimension must be positive")
-    if variant == "FRD":
-        kappa = dataset.basis_dim or Z[0].shape[0]
-        if kappa != Z[0].shape[0]:
-            raise DimensionError("FRD basis dimension must equal dim of the Z space")
-        U = [np.eye(kappa, dtype=np.complex128)] * len(Z)
-        return expand_rd_to_ltoa(DiskDataset("RTRD", Z, U, dataset.values,
-                                             basis_dim=kappa))
-    if variant not in ("RTRD", "LTRD"):
-        raise ArgumentError(f"variant {dataset.variant!r} has no basis expansion")
-    # the basis runs over the input space of U_i (RTRD) or the output space
-    # of X_i (LTRD): condition (i, k) keeps column (row) k of U_i, V_i (X_i, Y_i)
-    axis = 1 if variant == "RTRD" else 0
-    X = [as_complex_matrix(M) for M in dataset.directions]
-    Y = [as_complex_matrix(M) for M in dataset.targets]
-    if not (len(X) == len(Y) == len(Z)) or any(
-            Xi.shape != Yi.shape for Xi, Yi in zip(X, Y)):
-        raise DimensionError("need one direction and one target of the same "
-                             "shape per point")
-    kappa = dataset.basis_dim or X[0].shape[axis]
-    if any(M.shape[axis] != kappa for M in X):
-        raise DimensionError(f"{variant} basis dimension must equal the "
-                             f"{'U input' if axis else 'X output'} space")
-    points, xs, ys = zip(*[(Zi, np.take(Xi, [k], axis), np.take(Yi, [k], axis))
-                           for Zi, Xi, Yi in zip(Z, X, Y) for k in range(kappa)])
-    return DiskDataset("LTOA" if axis else "RTOA", list(points), list(xs), list(ys))
-
-
 def pick_frd(operator_points, values, basis_dim=None, tol="auto") -> FeasibilityReport:
-    """Pick matrix of s(Z_i) = W_i interpolation (Riesz-Dunford calculus)."""
-    ds = expand_rd_to_ltoa(
-        DiskDataset("FRD", operator_points, values=values, basis_dim=basis_dim))
-    return pick_ltoa(ds.points, ds.directions, ds.targets, tol)
+    """Pick matrix of s(Z_i) = W_i interpolation (Riesz-Dunford calculus):
+    :func:`pick_rtrd` with U_i = I."""
+    identities = [np.eye(len(as_complex_matrix(P)), dtype=np.complex128)
+                  for P in operator_points]
+    return pick_rtrd(operator_points, identities, values, basis_dim, tol)
 
 
 def pick_ltrd(operator_points, directions, targets, basis_dim=None, tol="auto"):
-    """Pick matrix of X_i s(Z_i) = Y_i interpolation."""
-    ds = expand_rd_to_ltoa(
-        DiskDataset("LTRD", operator_points, directions, targets, basis_dim=basis_dim))
-    return pick_rtoa(ds.points, ds.directions, ds.targets, tol)
+    """Pick matrix of X_i s(Z_i) = Y_i interpolation: :func:`pick_rtrd` on
+    the sharp data, so the basis runs over the rows of X_i and Y_i."""
+    return pick_rtrd(*sharp_ltoa_to_rtoa(operator_points, directions, targets),
+                     basis_dim, tol)
 
 
 def pick_rtrd(operator_points, directions, targets, basis_dim=None, tol="auto"):
-    """Pick matrix of s(Z_i) U_i = V_i interpolation."""
-    ds = expand_rd_to_ltoa(
-        DiskDataset("RTRD", operator_points, directions, targets, basis_dim=basis_dim))
-    return pick_ltoa(ds.points, ds.directions, ds.targets, tol)
+    """Pick matrix of s(Z_i) U_i = V_i interpolation.
+
+    The one-arrow fixed point over the basis expansion of
+    :func:`picklab.reports.basis_columns`: condition (i, k) carries Z_i,
+    U_i e_k and V_i e_k.
+    """
+    Z = _check_strict_ops(operator_points)
+    points, X, Y = basis_columns(Z, directions, targets, basis_dim)
+    return fixed_point_report([[Zi] for Zi in points], X, Y, None, tol)
 
 
 def nevanlinna_rd_check(operator_point, value, basis_dim=None, tol="auto"):
@@ -196,10 +138,9 @@ def nevanlinna_rd_check(operator_point, value, basis_dim=None, tol="auto"):
         raise DomainError(
             f"spectrum must lie in the open right half-plane, got eigenvalue "
             f"{eigs[np.argmin(eigs.real)]:.6g}")
-    cols = _basis_columns(kappa)
-    units = [e @ f.conj().T for e in cols for f in cols]
+    units = np.eye(kappa * kappa, dtype=np.complex128).reshape(-1, kappa, kappa)
     Wh = W.conj().T
-    P = matcore.solve_lyapunov_rhp(Z, np.array([E @ Wh + W @ E for E in units]))
+    P = matcore.solve_lyapunov_rhp(Z, units @ Wh + W @ units)
     n = kappa * Z.shape[0]
     pick = P.reshape(kappa, kappa, Z.shape[0], -1).transpose(0, 2, 1, 3).reshape(n, n)
     return make_report(pick, "closed_form", 0.0, tol)

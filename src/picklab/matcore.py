@@ -8,10 +8,11 @@ block stacks (N, m, n) and applied by :func:`sandwich`.  One arrow is a
 Stein equation, solved by Smith doubling on the stacks (:func:`solve_stein`);
 several arrows are summed by the level recursion (:func:`level_sum`),
 truncated at levels planned with certified geometric tails
-(:func:`plan_levels`).  :func:`stein_series` and
-:func:`stein_tail_bound` are independent oracles for tests.  All functions
-are pure; matrices are numpy complex arrays, and Hermitian outputs are
-always symmetrized explicitly.
+(:func:`plan_levels`).  Within picklab only
+:func:`picklab.reports.fixed_point` calls the two solvers.
+:func:`stein_series` and :func:`stein_tail_bound` are independent oracles
+for tests.  All functions are pure; matrices are numpy complex arrays, and
+Hermitian outputs are always symmetrized explicitly.
 """
 
 from __future__ import annotations
@@ -270,20 +271,6 @@ def as_point_rows(points) -> np.ndarray:
         raise DimensionError(
             f"points must be a list of coordinate lists, got ndim={pts.ndim}")
     return pts
-
-
-def basis_expansion(points, values, dim: int, basis_dim=None):
-    """Functional-calculus data as operator-argument data over a basis.
-
-    Condition (i, k), k < dim, carries point i, direction e_k and target
-    W_i e_k; returns the expanded points, directions and targets, point-major.
-    basis_dim, when given, must equal dim.
-    """
-    if (basis_dim or dim) != dim:
-        raise DimensionError("basis dimension must equal the tuple space dimension")
-    basis = list(np.eye(dim, dtype=np.complex128)[:, :, None])
-    return ([p for p in points for _ in basis], basis * len(points),
-            [W @ e for W in values for e in basis])
 
 
 def required_levels(r: float, norm0: float, series_tol: float) -> int:

@@ -30,6 +30,7 @@ from .errors import (
 from .matcore import as_complex_matrix
 from .reports import (
     FeasibilityReport,
+    basis_columns,
     block_entries,
     fixed_point,
     fixed_point_report,
@@ -65,10 +66,6 @@ class Quiver:
                 raise ArgumentError(f"source/range not defined for arrow {a!r}")
             if self.src[a] not in vs or self.rng[a] not in vs:
                 raise ArgumentError(f"arrow {a!r} references an unknown vertex")
-
-    def transposed(self) -> "Quiver":
-        """Same graph with source and range maps interchanged."""
-        return Quiver(self.vertices, self.arrows, dict(self.rng), dict(self.src))
 
     def arrows_out_of(self, v: str) -> List[str]:
         return [a for a in self.arrows if self.src[a] == v]
@@ -429,23 +426,6 @@ def pick_qltrd(G: Quiver, zdims: Grading, points, directions, targets,
     return series_report(*fixed_point(letters, M, plan), tol)
 
 
-def split_block_diagonal(M, row_grading: Grading, col_grading: Grading,
-                         atol: float = 0.0) -> Dict[str, np.ndarray]:
-    """Split a vertex-block-diagonal matrix; ShapeError on off-diagonal mass."""
-    M = as_complex_matrix(M)
-    if M.shape != (row_grading.total, col_grading.total):
-        raise ShapeError(f"matrix shape {M.shape} does not match the gradings")
-    out = {}
-    mask = np.ones(M.shape, dtype=bool)
-    for v in row_grading.quiver.vertices:
-        rs, cs = row_grading.block_slice(v), col_grading.block_slice(v)
-        out[v] = M[rs, cs]
-        mask[rs, cs] = False
-    if np.any(np.abs(M[mask]) > atol):
-        raise ShapeError("matrix is not block-diagonal over the vertex grading")
-    return out
-
-
 def pick_qltoa(G: Quiver, xdims: Grading, points, directions, targets,
                tol="auto", series_tol=1e-12,
                budget: Optional[int] = None) -> FeasibilityReport:
@@ -477,8 +457,8 @@ def _vertex_blocks(G: Quiver, F, what: str) -> List[np.ndarray]:
 
 def _as_vertex_family(G, D, xdims: Grading, what: str) -> Dict[str, np.ndarray]:
     if not isinstance(D, Mapping):
-        raise ShapeError(f"{what} must be a vertex -> matrix mapping "
-                         f"(use split_block_diagonal for full matrices)")
+        raise ShapeError(f"{what} must be a vertex -> matrix mapping, "
+                         f"one block per vertex")
     out = {}
     for v in G.vertices:
         if v not in D:
@@ -497,13 +477,6 @@ class ConstantMultiplierResult:
     delta: Optional[complex]
     pick: np.ndarray
     rank_one_form: np.ndarray
-
-
-def _columns(mats) -> List[np.ndarray]:
-    """The columns of a stack of equal-shape matrices as (k, 1) matrices,
-    matrix-major."""
-    S = np.stack(mats)
-    return list(S.transpose(0, 2, 1).reshape(-1, S.shape[1], 1))
 
 
 def constant_multiplier_check(directions, targets, tol="auto") -> ConstantMultiplierResult:
@@ -527,8 +500,8 @@ def constant_multiplier_check(directions, targets, tol="auto") -> ConstantMultip
     v = Ys.flatten(order="F").reshape(-1, 1)
     rank_one = u @ u.conj().T - v @ v.conj().T
     # condition (i, i') carries column i' of X_i and of Y_i, at lambda = 0
-    report = kernel_report(np.zeros((len(X) * shape[1], 1)), _columns(X), _columns(Y),
-                           tol)
+    points, xs, ys = basis_columns(np.zeros((len(X), 1)), X, Y)
+    report = kernel_report(np.array(points), xs, ys, tol)
     delta: Optional[complex] = None
     if report.verdict.is_psd:
         nu = float(np.linalg.norm(u))

@@ -2,10 +2,14 @@
 data for: :func:`kernel_report`, the closed form at scalar ball points
 (disk and Drury-Arveson FOV/LT/RT, the constant-multiplier test), and
 :func:`fixed_point`, the fixed point P = M + sum_a L_a P L_a* behind every
-other Pick matrix except the Lyapunov criterion.  Disk, free-ball and quiver
+other Pick matrix except the Lyapunov criterion, and the only caller of
+the Stein doubling and the level recursion.  Disk, free-ball and quiver
 operator-argument criteria reach it through :func:`fixed_point_report`;
-the quiver tensor and functional-calculus criteria (and so the quiver CP
-map) call it with plans of their own."""
+the quiver tensor and functional-calculus criteria (and so the CP maps)
+call it with plans of their own.  :func:`basis_columns` is the one basis
+expansion of functional-calculus data into operator-argument data, shared
+by the disk and free-ball criteria, the Agler problem and the
+constant-multiplier test."""
 
 from __future__ import annotations
 
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config, matcore
-from .errors import DimensionError
+from .errors import ArgumentError, DimensionError
 from .matcore import PsdVerdict
 
 
@@ -110,6 +114,34 @@ def fov_as_lt(values):
     if len(shapes) > 1:
         raise DimensionError(f"values must share one shape, got {shapes}")
     return [np.eye(M.shape[0], dtype=np.complex128) for M in W], W
+
+
+def basis_columns(points, X, Y, basis_dim=None):
+    """Functional-calculus data as operator-argument data over a basis.
+
+    Condition (i, k) carries point i, direction X_i e_k and target Y_i e_k,
+    point-major; every X_i and Y_i has the same width kappa, and basis_dim,
+    when given, must equal kappa.  Returns the expanded points, directions
+    and targets.
+    """
+    if basis_dim == 0:
+        raise ArgumentError("basis dimension must be positive")
+    X = [matcore.as_complex_matrix(M) for M in X]
+    Y = [matcore.as_complex_matrix(M) for M in Y]
+    if not (len(X) == len(Y) == len(points) > 0):
+        raise DimensionError("need one direction and one target per point, "
+                             "and at least one point")
+    widths = sorted({M.shape[1] for M in X + Y})
+    if len(widths) > 1:
+        raise DimensionError(
+            f"directions and targets must share one width, got {widths}")
+    kappa = widths[0]
+    if basis_dim not in (None, kappa):
+        raise DimensionError(f"basis dimension {basis_dim} must equal the "
+                             f"direction/target width {kappa}")
+    return ([p for p in points for _ in range(kappa)],
+            [M[:, k:k + 1] for M in X for k in range(kappa)],
+            [M[:, k:k + 1] for M in Y for k in range(kappa)])
 
 
 def stacked_middle(letters, X, Y):

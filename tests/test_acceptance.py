@@ -15,6 +15,7 @@ from picklab import agler, ball, cli, cp, disk, matcore, necessity, oracle
 from picklab import quiver as qv
 from picklab.cp import LinearMapOnMatrices
 from picklab.quiver import Grading, QuiverPoint
+from picklab.reports import basis_columns
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -66,22 +67,20 @@ def test_criterion_2_reduction_identities():
     # RD variants equal their Cartesian-product expansions
     Z = [contraction(rng, 2, 0.5) for _ in range(2)]
     Wv = [cg(rng, 2, 2) * 0.4 for _ in range(2)]
-    ds = disk.expand_rd_to_ltoa(disk.DiskDataset("FRD", Z, values=Wv))
     ok &= np.max(np.abs(disk.pick_frd(Z, Wv).pick
-                        - disk.pick_ltoa(ds.points, ds.directions,
-                                         ds.targets).pick)) <= tol
+                        - disk.pick_ltoa(*basis_columns(
+                            Z, [np.eye(2)] * 2, Wv)).pick)) <= tol
     Xr = [cg(rng, 3, 2) for _ in range(2)]
     Yr = [cg(rng, 3, 2) for _ in range(2)]
-    dsl = disk.expand_rd_to_ltoa(disk.DiskDataset("LTRD", Z, Xr, Yr))
+    # LTRD expands over the rows of X_i, Y_i: the columns of their transposes
+    pts, xs, ys = basis_columns(Z, [M.T for M in Xr], [M.T for M in Yr])
     ok &= np.max(np.abs(disk.pick_ltrd(Z, Xr, Yr).pick
-                        - disk.pick_rtoa(dsl.points, dsl.directions,
-                                         dsl.targets).pick)) <= tol
+                        - disk.pick_rtoa(pts, [x.T for x in xs],
+                                         [y.T for y in ys]).pick)) <= tol
     U = [cg(rng, 2, 3) for _ in range(2)]
     V = [cg(rng, 2, 3) for _ in range(2)]
-    dsr = disk.expand_rd_to_ltoa(disk.DiskDataset("RTRD", Z, U, V))
     ok &= np.max(np.abs(disk.pick_rtrd(Z, U, V).pick
-                        - disk.pick_ltoa(dsr.points, dsr.directions,
-                                         dsr.targets).pick)) <= tol
+                        - disk.pick_ltoa(*basis_columns(Z, U, V)).pick)) <= tol
 
     # sharp duality: LT <-> RT and LTOA <-> RTOA onto entrywise
     # adjoint-transposes (for these Hermitian matrices, onto themselves)

@@ -149,6 +149,30 @@ class TestPhiDisk:
         phi = cp.build_phi_disk(Z, X, Y)
         assert cp.cp_check(phi, tol=1e-8).is_cp
 
+    def test_non_contractive_points_match_series(self):
+        # spectral radius < 1 <= norm: the disk tensor-calculus domain,
+        # outside the quiver row-norm disk of pick_qltt
+        Z = [np.array([[0.5, 3.0], [0.0, -0.4]]),
+             np.array([[-0.3, 0.0], [2.0, 0.6]])]
+        assert all(matcore.operator_norm(M) >= 1 for M in Z)
+        rng = np.random.default_rng(21)
+        X = [cg(rng, 4, 4) for _ in range(2)]
+        Y = [cg(rng, 4, 4) for _ in range(2)]
+        phi = cp.build_phi_disk(Z, X, Y)
+        B = cg(rng, 4, 4)
+        out = phi(B)
+        for i in range(2):
+            for j in range(2):
+                Bij = B[2 * i:2 * i + 2, 2 * j:2 * j + 2]
+                S = sum(np.linalg.matrix_power(Z[i], n) @ Bij
+                        @ np.linalg.matrix_power(Z[j], n).conj().T
+                        for n in range(400))
+                K = np.kron(np.eye(2), S)
+                expect = X[i] @ K @ X[j].conj().T - Y[i] @ K @ Y[j].conj().T
+                got = out[4 * i:4 * i + 4, 4 * j:4 * j + 4]
+                assert (np.max(np.abs(got - expect))
+                        <= 1e-12 * np.max(np.abs(expect)))
+
 
 class TestPhiStarDisk:
     def test_zero_points_single_term(self):

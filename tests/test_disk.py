@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from picklab import disk, matcore, oracle
-from picklab.disk import DiskDataset
 from picklab.errors import ArgumentError, DimensionError, DomainError
+from picklab.reports import basis_columns
 
 GOLDEN_NEG_EIG = (1 - np.sqrt(5)) / 2
 
@@ -155,38 +155,36 @@ class TestRdExpansion:
         Z = [contraction(rng, 1)]
         U = [cg(rng, 1, 1)]
         V = [cg(rng, 1, 1)]
-        ds = disk.expand_rd_to_ltoa(DiskDataset("RTRD", Z, U, V, basis_dim=1))
-        assert len(ds.points) == 1
-        assert np.allclose(ds.directions[0], U[0])
-        assert np.allclose(ds.targets[0], V[0])
+        points, dirs, targets = basis_columns(Z, U, V, basis_dim=1)
+        assert len(points) == 1
+        assert np.allclose(dirs[0], U[0])
+        assert np.allclose(targets[0], V[0])
 
     def test_frd_expansion_uses_basis_columns(self):
         rng = np.random.default_rng(9)
         Z = [contraction(rng, 3)]
         W = [cg(rng, 3, 3) * 0.4]
-        ds = disk.expand_rd_to_ltoa(DiskDataset("FRD", Z, values=W))
-        assert ds.variant == "LTOA"
-        assert len(ds.points) == 3
+        points, dirs, targets = basis_columns(Z, [np.eye(3)], W)
+        assert len(points) == 3
         for k in range(3):
             e = np.zeros((3, 1))
             e[k, 0] = 1.0
-            assert np.allclose(ds.directions[k], e)
-            assert np.allclose(ds.targets[k], W[0] @ e)
+            assert np.array_equal(points[k], Z[0])
+            assert np.allclose(dirs[k], e)
+            assert np.allclose(targets[k], W[0] @ e)
 
     def test_expanded_pipeline_matches_pick_frd(self):
         rng = np.random.default_rng(10)
         Z = [contraction(rng, 2)]
         W = [cg(rng, 2, 2) * 0.5]
         via_op = disk.pick_frd(Z, W)
-        ds = disk.expand_rd_to_ltoa(DiskDataset("FRD", Z, values=W))
-        via_exp = disk.pick_ltoa(ds.points, ds.directions, ds.targets)
+        via_exp = disk.pick_ltoa(*basis_columns(Z, [np.eye(2)], W))
         assert np.max(np.abs(via_op.pick - via_exp.pick)) == 0.0
 
     def test_zero_basis_dim_rejected(self):
         with pytest.raises(ArgumentError):
-            disk.expand_rd_to_ltoa(
-                DiskDataset("FRD", [np.zeros((1, 1))],
-                            values=[np.zeros((1, 1))], basis_dim=0))
+            basis_columns([np.zeros((1, 1))], [np.eye(1)], [np.zeros((1, 1))],
+                          basis_dim=0)
 
 
 class TestRdPicks:

@@ -1,15 +1,15 @@
 """The closed-form Pick builder reports.kernel_report and the criteria that
 only assemble data for it: disk FOV/LT/RT, Drury-Arveson FOV/LT and the
 constant-multiplier test; the batched block norms that plan the fixed
-point's level sums; and empty input to the fixed-point criteria and CP
-maps."""
+point's level sums; and empty input and a zero basis dimension to the
+fixed-point criteria and CP maps."""
 
 import numpy as np
 import pytest
 
-from picklab import ball, cp, disk, matcore, reports
+from picklab import agler, ball, cp, disk, matcore, reports
 from picklab import quiver as qv
-from picklab.errors import DimensionError, DomainError, ShapeError
+from picklab.errors import ArgumentError, DimensionError, DomainError, ShapeError
 from picklab.quiver import Grading
 
 
@@ -111,6 +111,25 @@ EMPTY_INPUT = [
 def test_empty_input_errors(fn, args, error):
     with pytest.raises(error):
         fn(*args)
+
+
+Z2 = np.zeros((2, 2))
+ZERO_BASIS_DIM = [
+    (disk.pick_frd, ([Z2], [Z2])),
+    (disk.pick_ltrd, ([Z2], [Z2], [Z2])),
+    (disk.pick_rtrd, ([Z2], [Z2], [Z2])),
+    (ball.pick_nc_frd, ([[Z2]], [Z2])),
+    (ball.pick_nc_frd_star, ([[Z2]], [Z2])),
+    (agler.nc_rd_problem, ([[Z2]], [Z2])),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, args", ZERO_BASIS_DIM,
+    ids=[f"{fn.__module__}.{fn.__name__}" for fn, _ in ZERO_BASIS_DIM])
+def test_zero_basis_dim_rejected(fn, args):
+    with pytest.raises(ArgumentError):
+        fn(*args, basis_dim=0)
 
 
 def test_block_entries_match_per_block_norms():
