@@ -2,7 +2,9 @@
 
 One JSON document per invocation on stdout; diagnostics on stderr only.
 Exit codes: 0 feasible, 1 infeasible / infeasible evidence, 2 unknown or
-budget exceeded, 64 usage error, 65 data error.
+budget exceeded, 64 usage error, 65 data error.  `check` and `agler` run
+every setting through one table, setting -> (module, entry point, payload
+fields); each field is decoded by the type the request schema gives it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numbers
 import reprlib
 import sys
 import time
-from importlib import resources
+from importlib import import_module, resources
 
 import numpy as np
 
@@ -201,10 +203,6 @@ class _DataError(Exception):
         self.path = path
 
 
-_KNOWN_SETTINGS = frozenset(
-    _schema("request.schema.json")["properties"]["setting"]["enum"])
-
-
 def _read_request(input_path: str):
     try:
         with open(input_path, "rb") as fh:
@@ -218,7 +216,7 @@ def _read_request(input_path: str):
     if not isinstance(doc, dict) or "setting" not in doc:
         raise _DataError("request must be an object with a 'setting' field",
                          input_path)
-    if isinstance(doc["setting"], str) and doc["setting"] not in _KNOWN_SETTINGS:
+    if isinstance(doc["setting"], str) and doc["setting"] not in _SETTINGS:
         raise _Usage(f"unknown setting {doc['setting']!r}")
     try:
         validate_document(doc, "request.schema.json")
@@ -228,24 +226,14 @@ def _read_request(input_path: str):
 
 
 def _options(doc: dict, args) -> dict:
+    """The request's options, overridden by the flags given on the command line."""
     opts = dict(doc.get("options") or {})
-    if getattr(args, "tol", None) is not None:
-        opts["tol"] = args.tol
-    if getattr(args, "max_level", None) is not None:
-        opts["max_level"] = args.max_level
-    if getattr(args, "max_iter", None) is not None:
-        opts["max_iter"] = args.max_iter
-    if getattr(args, "seed", None) is not None:
-        opts["seed"] = args.seed
-    if getattr(args, "literal_unweighted", False):
-        opts["literal_unweighted"] = True
+    for name in ("tol", "max_level", "max_iter", "seed", "literal_unweighted"):
+        value = getattr(args, name, None)
+        if value is not None and value is not False:
+            opts[name] = value
     opts.setdefault("tol", "auto")
     return opts
-
-
-def _tol_value(opts):
-    tol = opts.get("tol", "auto")
-    return tol if tol == "auto" else float(tol)
 
 
 def _series_budget(opts, per_level: int) -> int:
@@ -255,101 +243,90 @@ def _series_budget(opts, per_level: int) -> int:
     return budget
 
 
-def _dispatch_check(setting: str, payload: dict, opts: dict):
-    tol = _tol_value(opts)
-    if setting.startswith("disk."):
-        from . import disk
+_LT = ("points", "directions", "targets")
+_OA = ("operator_points", "directions", "targets")
+_RD = ("operator_points", "values", "basis_dim")
 
-        if setting == "disk.fov":
-            return disk.pick_fov([ser.complex_from_json(z) for z in payload["points"]],
-                                 ser.matrices_from_json(payload["values"]), tol)
-        if setting in ("disk.lt", "disk.rt"):
-            fn = disk.pick_lt if setting.endswith("lt") else disk.pick_rt
-            return fn([ser.complex_from_json(z) for z in payload["points"]],
-                      ser.matrices_from_json(payload["directions"]),
-                      ser.matrices_from_json(payload["targets"]), tol)
-        if setting in ("disk.ltoa", "disk.rtoa"):
-            fn = disk.pick_ltoa if setting.endswith("ltoa") else disk.pick_rtoa
-            return fn(ser.matrices_from_json(payload["operator_points"]),
-                      ser.matrices_from_json(payload["directions"]),
-                      ser.matrices_from_json(payload["targets"]), tol)
-        if setting == "disk.frd":
-            return disk.pick_frd(ser.matrices_from_json(payload["operator_points"]),
-                                 ser.matrices_from_json(payload["values"]),
-                                 payload.get("basis_dim"), tol)
-        if setting in ("disk.ltrd", "disk.rtrd"):
-            fn = disk.pick_ltrd if setting.endswith("ltrd") else disk.pick_rtrd
-            return fn(ser.matrices_from_json(payload["operator_points"]),
-                      ser.matrices_from_json(payload["directions"]),
-                      ser.matrices_from_json(payload["targets"]),
-                      payload.get("basis_dim"), tol)
-        if setting == "disk.nevanlinna_rd":
-            return disk.nevanlinna_rd_check(
-                ser.matrix_from_json(payload["operator_point"]),
-                ser.matrix_from_json(payload["value"]), tol=tol)
-    if setting.startswith("ball."):
-        from . import ball as ball_mod
+# setting -> (module, entry point, payload fields in argument order)
+_SETTINGS = {
+    "disk.fov": ("disk", "pick_fov", ("points", "values")),
+    "disk.lt": ("disk", "pick_lt", _LT),
+    "disk.rt": ("disk", "pick_rt", _LT),
+    "disk.ltoa": ("disk", "pick_ltoa", _OA),
+    "disk.rtoa": ("disk", "pick_rtoa", _OA),
+    "disk.frd": ("disk", "pick_frd", _RD),
+    "disk.ltrd": ("disk", "pick_ltrd", _OA + ("basis_dim",)),
+    "disk.rtrd": ("disk", "pick_rtrd", _OA + ("basis_dim",)),
+    "disk.nevanlinna_rd": ("disk", "nevanlinna_rd_check", ("operator_point", "value")),
+    "ball.da_fov": ("ball", "pick_da_fov", ("points", "values")),
+    "ball.da_lt": ("ball", "pick_da_lt", _LT),
+    "ball.da_ltoa": ("ball", "pick_da_ltoa", _OA),
+    "ball.nc_ltoa": ("ball", "pick_nc_ltoa", _OA),
+    "ball.nc_frd": ("ball", "pick_nc_frd", _RD),
+    "ball.nc_frd_star": ("ball", "pick_nc_frd_star", _RD),
+    "quiver.qltt": ("quiver", "pick_qltt", ("quiver", "y_dims") + _LT),
+    "quiver.qltrd": ("quiver", "pick_qltrd", ("quiver",) + _LT + ("basis_dim",)),
+    "quiver.qltoa": ("quiver", "pick_qltoa", ("quiver",) + _LT),
+    "polydisk.agler_scalar": ("agler", "scalar_problem", ("points", "values")),
+    "polydisk.agler_ltoa": ("agler", "nc_ltoa_problem", _OA),
+    "polydisk.agler_nc_rd": ("agler", "nc_rd_problem", _RD),
+}
 
-        if setting == "ball.da_fov":
-            pts = [[ser.complex_from_json(z) for z in row] for row in payload["points"]]
-            return ball_mod.pick_da_fov(pts, ser.matrices_from_json(payload["values"]),
-                                        tol)
-        if setting == "ball.da_lt":
-            pts = [[ser.complex_from_json(z) for z in row] for row in payload["points"]]
-            return ball_mod.pick_da_lt(pts,
-                                       ser.matrices_from_json(payload["directions"]),
-                                       ser.matrices_from_json(payload["targets"]), tol)
-        if setting in ("ball.da_ltoa", "ball.nc_ltoa"):
-            tuples = [ser.matrices_from_json(t) for t in payload["operator_points"]]
-            X = ser.matrices_from_json(payload["directions"])
-            Y = ser.matrices_from_json(payload["targets"])
-            budget = _series_budget(opts, len(tuples[0]))
-            if setting == "ball.nc_ltoa":
-                return ball_mod.pick_nc_ltoa(tuples, X, Y, tol, budget=budget)
-            return ball_mod.pick_da_ltoa(
-                tuples, X, Y, tol, budget=budget,
-                literal_unweighted=bool(opts.get("literal_unweighted", False)))
-        if setting in ("ball.nc_frd", "ball.nc_frd_star"):
-            tuples = [ser.matrices_from_json(t) for t in payload["operator_points"]]
-            W = ser.matrices_from_json(payload["values"])
-            budget = _series_budget(opts, len(tuples[0]))
-            fn = (ball_mod.pick_nc_frd if setting.endswith("frd")
-                  else ball_mod.pick_nc_frd_star)
-            return fn(tuples, W, payload.get("basis_dim"), tol, budget=budget)
-    if setting.startswith("quiver."):
-        from . import quiver as quiver_mod
 
-        G = ser.quiver_from_json(payload["quiver"])
-        dims = ser.grading_from_json(G, payload["quiver"]["dims"])
-        budget = _series_budget(opts, len(G.arrows))
-        if setting == "quiver.qltt":
-            ydims = ser.grading_from_json(G, payload["y_dims"])
-            points = [ser.quiver_point_from_json("tensor", p)
-                      for p in payload["points"]]
-            reports = quiver_mod.pick_qltt(
-                G, dims, ydims, points,
-                ser.matrices_from_json(payload["directions"]),
-                ser.matrices_from_json(payload["targets"]), tol, budget=budget)
-            return reports
-        if setting == "quiver.qltrd":
-            points = [ser.quiver_point_from_json("tensor", p)
-                      for p in payload["points"]]
-            return quiver_mod.pick_qltrd(
-                G, dims, points,
-                ser.matrices_from_json(payload["directions"]),
-                ser.matrices_from_json(payload["targets"]),
-                payload.get("basis_dim"), tol, budget=budget)
-        if setting == "quiver.qltoa":
-            points = [ser.quiver_point_from_json("operator_argument", p)
-                      for p in payload["points"]]
-            dirs = [{v: ser.matrix_from_json(M) for v, M in D.items()}
-                    for D in payload["directions"]]
-            tgts = [{v: ser.matrix_from_json(M) for v, M in D.items()}
-                    for D in payload["targets"]]
-            return quiver_mod.pick_qltoa(G, dims, points, dirs, tgts, tol,
-                                         budget=budget)
-    raise _Usage(f"setting {setting!r} is not handled by 'check' "
-                 f"(polydisk settings use the 'agler' subcommand)")
+@functools.lru_cache(maxsize=None)
+def _field_types() -> dict:
+    """setting -> {payload field: its $defs type, "" if given inline}, from
+    the request schema's rules "if setting in enum, then payload.properties"."""
+    types = {}
+    for rule in _schema("request.schema.json")["allOf"]:
+        props = rule["then"]["properties"]["payload"]["properties"]
+        fields = {name: sub.get("$ref", _DEFS)[len(_DEFS):]
+                  for name, sub in props.items()}
+        for setting in rule["if"]["properties"]["setting"]["enum"]:
+            types[setting] = fields
+    return types
+
+
+_DECODERS = {
+    "complexList": lambda obj: [ser.complex_from_json(z) for z in obj],
+    "vectorList": lambda obj: [[ser.complex_from_json(z) for z in row] for row in obj],
+    "matrix": ser.matrix_from_json,
+    "matrixList": ser.matrices_from_json,
+    "tupleList": lambda obj: [ser.matrices_from_json(t) for t in obj],
+    "blockFamilyList": lambda obj: [{k: ser.matrix_from_json(M) for k, M in D.items()}
+                                    for D in obj],
+}
+
+
+def _call(setting: str, payload: dict, opts: dict):
+    """Decode `payload` by the field types of `setting` and call its entry
+    point.  A quiver field is passed as (Quiver, Grading), y_dims as a
+    Grading and quiver points as QuiverPoints.  Criteria also get the
+    tolerance, and those that sum over several arrows the work budget."""
+    module, function, fields = _SETTINGS[setting]
+    entry = getattr(import_module(f".{module}", __package__), function)
+    types = _field_types()[setting]
+    args, kwargs = [], {}
+    for name in fields:
+        obj = payload.get(name)
+        if name == "quiver":
+            G = ser.quiver_from_json(obj)
+            args += [G, ser.grading_from_json(G, obj["dims"])]
+            kwargs["budget"] = _series_budget(opts, len(G.arrows))
+        elif name == "y_dims":
+            args.append(ser.grading_from_json(G, obj))
+        elif module == "quiver" and name == "points":
+            kind = "operator_argument" if setting == "quiver.qltoa" else "tensor"
+            args.append([ser.quiver_point_from_json(kind, p) for p in obj])
+        else:
+            args.append(_DECODERS.get(types[name], lambda x: x)(obj))
+    if module == "ball" and types[fields[0]] == "tupleList":
+        kwargs["budget"] = _series_budget(opts, len(args[0][0]))
+    if setting == "ball.da_ltoa":
+        kwargs["literal_unweighted"] = bool(opts.get("literal_unweighted", False))
+    if module != "agler":
+        kwargs["tol"] = opts["tol"] if opts["tol"] == "auto" else float(opts["tol"])
+    return entry(*args, **kwargs)
 
 
 def _envelope(setting, opts, raw, verdict, **fields) -> dict:
@@ -374,9 +351,17 @@ def _finish(report: dict, started: float) -> int:
     return _VERDICT_EXIT.get(report["verdict"], EXIT_UNKNOWN)
 
 
+def _error(exc, code: str) -> dict:
+    """The error object of an error document or of a budget report."""
+    error = {"code": code, "message": str(exc),
+             "path": exc.path if isinstance(exc, _DataError) else None}
+    if isinstance(exc, BudgetError):
+        error["achieved_bound"] = _clean_float(exc.achieved_bound)
+    return error
+
+
 def _budget_report(exc, setting, opts, raw) -> dict:
-    return _envelope(setting, opts, raw, "unknown",
-                     error={"code": "budget", "message": str(exc), "path": None})
+    return _envelope(setting, opts, raw, "unknown", error=_error(exc, "budget"))
 
 
 def _check_report(result, setting, opts, raw, emit_pick) -> dict:
@@ -410,31 +395,11 @@ def cmd_check(args) -> int:
         raise _Usage("polydisk settings are handled by the 'agler' subcommand")
     opts = _options(doc, args)
     try:
-        result = _dispatch_check(setting, doc["payload"], opts)
+        result = _call(setting, doc["payload"], opts)
     except BudgetError as exc:
         return _finish(_budget_report(exc, setting, opts, raw), started)
     return _finish(_check_report(result, setting, opts, raw, args.emit_pick),
                    started)
-
-
-def _agler_problem(setting: str, payload: dict):
-    from . import agler as agler_mod
-
-    if setting == "polydisk.agler_scalar":
-        pts = [[ser.complex_from_json(z) for z in row] for row in payload["points"]]
-        vals = [ser.complex_from_json(z) for z in payload["values"]]
-        return agler_mod.scalar_problem(pts, vals)
-    if setting == "polydisk.agler_ltoa":
-        tuples = [ser.matrices_from_json(t) for t in payload["operator_points"]]
-        return agler_mod.nc_ltoa_problem(
-            tuples, ser.matrices_from_json(payload["directions"]),
-            ser.matrices_from_json(payload["targets"]))
-    if setting == "polydisk.agler_nc_rd":
-        tuples = [ser.matrices_from_json(t) for t in payload["operator_points"]]
-        return agler_mod.nc_rd_problem(
-            tuples, ser.matrices_from_json(payload["values"]),
-            payload.get("basis_dim"))
-    raise _Usage(f"setting {setting!r} is not an Agler problem")
 
 
 def cmd_agler(args) -> int:
@@ -443,11 +408,12 @@ def cmd_agler(args) -> int:
     started = time.monotonic()
     doc, raw = _read_request(args.input)
     setting = doc["setting"]
+    if not setting.startswith("polydisk."):
+        raise _Usage(f"setting {setting!r} is not an Agler problem")
     opts = _options(doc, args)
-    tol = opts.get("tol", "auto")
-    tol = agler_mod.DEFAULT_TOL if tol == "auto" else float(tol)
+    tol = agler_mod.DEFAULT_TOL if opts["tol"] == "auto" else float(opts["tol"])
     max_iter = int(opts.get("max_iter", agler_mod.DEFAULT_MAX_ITER))
-    problem = _agler_problem(setting, doc["payload"])
+    problem = _call(setting, doc["payload"], opts)
     try:
         rep = agler_mod.solve_feasibility(problem, tol=tol, max_iter=max_iter)
     except BudgetError as exc:
@@ -653,6 +619,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_ERROR_CODES = {_Usage: ("usage", EXIT_USAGE), _DataError: ("data", EXIT_DATA),
+                BudgetError: ("budget", EXIT_UNKNOWN)}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -661,22 +631,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except _Usage as exc:
-        print(json.dumps({"error": {"code": "usage", "message": str(exc),
-                                    "path": None}}, sort_keys=True))
-        return EXIT_USAGE
-    except _DataError as exc:
-        print(json.dumps({"error": {"code": "data", "message": str(exc),
-                                    "path": exc.path}}, sort_keys=True))
-        return EXIT_DATA
-    except BudgetError as exc:
-        print(json.dumps({"error": {"code": "budget", "message": str(exc),
-                                    "path": None}}, sort_keys=True))
-        return EXIT_UNKNOWN
-    except PicklabError as exc:
-        print(json.dumps({"error": {"code": type(exc).__name__, "message": str(exc),
-                                    "path": None}}, sort_keys=True))
-        return EXIT_DATA
+    except (_Usage, _DataError, PicklabError) as exc:
+        code, status = _ERROR_CODES.get(type(exc), (type(exc).__name__, EXIT_DATA))
+        print(json.dumps({"error": _error(exc, code)}, sort_keys=True))
+        return status
 
 
 if __name__ == "__main__":

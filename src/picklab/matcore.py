@@ -63,15 +63,17 @@ def hermitize(M) -> np.ndarray:
 
 def min_eigenvalue(H) -> float:
     """Smallest eigenvalue of a Hermitian matrix."""
-    return _lowest_eigenvalue(hermitize(H))
+    return float(_eigenvalues(hermitize(H))[0])
 
 
-def _lowest_eigenvalue(A: np.ndarray) -> float:
-    """Smallest eigenvalue of a matrix that is already Hermitian."""
+def _eigenvalues(A: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a matrix that is already Hermitian."""
     if A.shape[0] == 0:
         raise DimensionError("empty matrix has no eigenvalues")
+    if not np.isfinite(A).all():
+        raise DimensionError("matrix entries must be finite")
     try:
-        return float(np.linalg.eigvalsh(A)[0])
+        return np.linalg.eigvalsh(A)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise NumericError(f"Hermitian eigensolver failed to converge: {exc}")
 
@@ -99,11 +101,6 @@ class PsdVerdict:
     tolerance_used: float
 
 
-def auto_tolerance(H: np.ndarray) -> float:
-    """Backward-error PSD tolerance: dim * eps * spectral norm."""
-    return H.shape[0] * _EPS * operator_norm(H)
-
-
 def is_psd(H, tol="auto") -> PsdVerdict:
     """PSD verdict for a Hermitian matrix at the given tolerance."""
     return psd_verdict(hermitize(H), tol)
@@ -111,14 +108,16 @@ def is_psd(H, tol="auto") -> PsdVerdict:
 
 def psd_verdict(A: np.ndarray, tol="auto") -> PsdVerdict:
     """:func:`is_psd` for a matrix that is already Hermitian (e.g. the output
-    of :func:`hermitize`); it is not copied or symmetrized again."""
-    if tol == "auto":
-        tol = auto_tolerance(A)
-    tol = float(tol)
-    if tol < 0:
+    of :func:`hermitize`); it is not copied or symmetrized again.  The auto
+    tolerance is the backward error dim * eps * ||A||, with the spectral norm
+    max(|lam_min|, |lam_max|) read off the same eigenvalues."""
+    if tol != "auto" and float(tol) < 0:
         raise ArgumentError("tolerance must be nonnegative")
-    lam = _lowest_eigenvalue(A)
-    return PsdVerdict(is_psd=bool(lam >= -tol), min_eigenvalue=lam, tolerance_used=tol)
+    lam = _eigenvalues(A)
+    tol = float(A.shape[0] * _EPS * max(abs(lam[0]), abs(lam[-1]))
+                if tol == "auto" else tol)
+    return PsdVerdict(is_psd=bool(lam[0] >= -tol), min_eigenvalue=float(lam[0]),
+                      tolerance_used=tol)
 
 
 def stein_series(A, Q, B, terms: int) -> np.ndarray:

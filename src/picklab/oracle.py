@@ -67,15 +67,6 @@ class SchurSample:
     def contractivity_margin(self) -> float:
         return max(1.0 - self.norm_bound, 0.0)
 
-    def degree(self) -> int:
-        if not self.coefficients:
-            return 0
-        if self.setting == "disk":
-            return max(self.coefficients)
-        if self.setting == "ball":
-            return max(len(w) for w in self.coefficients)
-        return max(p.length for p in self.coefficients)
-
 
 def _seed_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)

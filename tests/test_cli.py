@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from picklab import cli
+from picklab import agler, ball, cli, disk, quiver, serialize
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -124,6 +124,7 @@ class TestExitCodes:
         assert code == 2
         assert doc["verdict"] == "unknown"
         assert doc["error"]["code"] == "budget"
+        assert doc["error"]["achieved_bound"] == pytest.approx(1.0)
 
     def test_invalid_budget_is_data_error(self, capsys, monkeypatch):
         for raw in ("0", "-3", "many"):
@@ -276,6 +277,164 @@ class TestSchemas:
         from picklab import matcore, serialize
         M = serialize.matrix_from_json(doc["pick_matrix"])
         assert (matcore.hermitize(M) == M).all()
+
+
+def _to_json(obj):
+    """Encode test data: arrays as matrices, complex numbers as [re, im]."""
+    if isinstance(obj, np.ndarray):
+        return serialize.matrix_to_json(obj)
+    if isinstance(obj, complex):
+        return serialize.complex_to_json(obj)
+    if isinstance(obj, list):
+        return [_to_json(x) for x in obj]
+    if isinstance(obj, dict):
+        return {k: _to_json(v) for k, v in obj.items()}
+    return obj
+
+
+def _mat(rows):
+    return np.array(rows, dtype=complex)
+
+
+_I2 = np.eye(2, dtype=complex)
+_Z = [_mat([[0.3, 0.1], [0, -0.2]]), _mat([[0.1j, 0], [0.2, 0.4]])]
+_W = _mat([[0.2, 0.1], [0, 0.1]])
+_GAMMA = quiver.two_vertex_example()[0]
+_QUIVER = serialize.quiver_to_json(_GAMMA, {"a": 1, "b": 1})
+_BALL_POINTS = [[0.3 + 0j, 0.2j], [-0.1 + 0j, 0.4 + 0j]]
+_DISK_OA = {"operator_points": _Z, "directions": [_I2, _I2],
+            "targets": [_mat([[0.3, 0], [0, 0.2]]), _mat([[0.1, 0.2], [0, 0.3]])]}
+_NC = {"operator_points": [_Z, [_mat([[0.2, 0], [0, 0.1]]), _mat([[0.1, 0], [0.3, 0]])]],
+       "directions": [_I2, _I2], "targets": [_mat([[0.2, 0], [0, 0.1]]), _W]}
+# one small valid payload per setting, feasible and infeasible ones both
+_PAYLOADS = {
+    "disk.fov": {"points": [0.3 + 0j, 0.5j], "values": [_mat([[0.1]]), _mat([[0.2 + 0.1j]])]},
+    "disk.lt": {"points": [0.3 + 0j, -0.4j], "directions": [_mat([[1, 0]]), _mat([[0, 1]])],
+                "targets": [_mat([[0.5]]), _mat([[0.2j]])]},
+    "disk.rt": {"points": [0.3 + 0j, -0.4j], "directions": [_mat([[1], [0]]), _mat([[0], [1]])],
+                "targets": [_mat([[0.5]]), _mat([[0.2j]])]},
+    "disk.ltoa": _DISK_OA,
+    "disk.rtoa": _DISK_OA,
+    "disk.frd": {"operator_points": _Z[:1], "values": [_W]},
+    "disk.ltrd": {"operator_points": _Z[:1], "directions": [_I2], "targets": [_W]},
+    "disk.rtrd": {"operator_points": _Z[:1], "directions": [_I2], "targets": [_W],
+                  "basis_dim": 2},
+    "disk.nevanlinna_rd": {"operator_point": _mat([[1.0, 0.3], [0, 0.5]]),
+                           "value": _mat([[0.8, 0.1], [0, 0.4]])},
+    "ball.da_fov": {"points": _BALL_POINTS, "values": [_mat([[0.1]]), _mat([[0.3]])]},
+    "ball.da_lt": {"points": _BALL_POINTS, "directions": [_mat([[1]]), _mat([[1]])],
+                   "targets": [_mat([[0.1]]), _mat([[0.3]])]},
+    "ball.da_ltoa": {"operator_points": [[_mat([[0.3, 0], [0, 0.1]]),
+                                          _mat([[0.2j, 0], [0, -0.3]])]],
+                     "directions": [_I2], "targets": [_mat([[0.2, 0], [0, 0.1]])]},
+    "ball.nc_ltoa": _NC,
+    "ball.nc_frd": {"operator_points": [_Z], "values": [_W]},
+    "ball.nc_frd_star": {"operator_points": [_Z], "values": [_W], "basis_dim": 2},
+    "quiver.qltt": {"quiver": _QUIVER, "y_dims": {"a": 1, "b": 1},
+                    "points": [{"alpha": _mat([[0.5]]), "beta": _mat([[0.3]])},
+                               {"alpha": _mat([[0.2j]]), "beta": _mat([[-0.4]])}],
+                    "directions": [_mat([[1, 0]]), _mat([[0, 1]])],
+                    "targets": [_mat([[0.3, 0]]), _mat([[0.1, 0.2]])]},
+    "quiver.qltrd": {"quiver": _QUIVER,
+                     "points": [{"alpha": _mat([[0.5]]), "beta": _mat([[0.3]])}],
+                     "directions": [_I2], "targets": [_mat([[0.2, 0.1], [0, 0.3]])]},
+    "quiver.qltoa": {"quiver": _QUIVER,
+                     "points": [{"alpha": _mat([[0.5]]), "beta": _mat([[0.5]])}],
+                     "directions": [{"a": _mat([[0.5]]), "b": _mat([[0.5]])}],
+                     "targets": [{"a": _mat([[0.25]]), "b": _mat([[0.25]])}]},
+    "polydisk.agler_scalar": {"points": [[0j, 0j], [0.5 + 0j, 0j]], "values": [0j, 0.3 + 0j]},
+    "polydisk.agler_ltoa": {"operator_points": [[_mat([[0]]), _mat([[0]])],
+                                                [_mat([[0.3]]), _mat([[0]])]],
+                            "directions": [_mat([[1]]), _mat([[1]])],
+                            "targets": [_mat([[0]]), _mat([[0.9]])]},
+    "polydisk.agler_nc_rd": {"operator_points": [[_mat([[0.3]]), _mat([[0.2]])]],
+                             "values": [_mat([[0.1]])]},
+}
+
+
+def _direct_call(setting, p):
+    """The library call that `setting` stands for, on the unencoded payload."""
+    dims = quiver.Grading(_GAMMA, {"a": 1, "b": 1})
+
+    def points(kind):
+        return [quiver.QuiverPoint(kind, b) for b in p["points"]]
+
+    calls = {
+        "disk.fov": lambda: disk.pick_fov(p["points"], p["values"]),
+        "disk.lt": lambda: disk.pick_lt(p["points"], p["directions"], p["targets"]),
+        "disk.rt": lambda: disk.pick_rt(p["points"], p["directions"], p["targets"]),
+        "disk.ltoa": lambda: disk.pick_ltoa(*_DISK_OA.values()),
+        "disk.rtoa": lambda: disk.pick_rtoa(*_DISK_OA.values()),
+        "disk.frd": lambda: disk.pick_frd(p["operator_points"], p["values"]),
+        "disk.ltrd": lambda: disk.pick_ltrd(p["operator_points"], p["directions"],
+                                            p["targets"]),
+        "disk.rtrd": lambda: disk.pick_rtrd(p["operator_points"], p["directions"],
+                                            p["targets"], 2),
+        "disk.nevanlinna_rd": lambda: disk.nevanlinna_rd_check(p["operator_point"],
+                                                               p["value"]),
+        "ball.da_fov": lambda: ball.pick_da_fov(p["points"], p["values"]),
+        "ball.da_lt": lambda: ball.pick_da_lt(p["points"], p["directions"], p["targets"]),
+        "ball.da_ltoa": lambda: ball.pick_da_ltoa(p["operator_points"], p["directions"],
+                                                  p["targets"]),
+        "ball.nc_ltoa": lambda: ball.pick_nc_ltoa(*_NC.values()),
+        "ball.nc_frd": lambda: ball.pick_nc_frd(p["operator_points"], p["values"]),
+        "ball.nc_frd_star": lambda: ball.pick_nc_frd_star(p["operator_points"],
+                                                          p["values"], 2),
+        "quiver.qltt": lambda: quiver.pick_qltt(
+            _GAMMA, dims, quiver.Grading(_GAMMA, p["y_dims"]), points("tensor"),
+            p["directions"], p["targets"]),
+        "quiver.qltrd": lambda: quiver.pick_qltrd(_GAMMA, dims, points("tensor"),
+                                                  p["directions"], p["targets"]),
+        "quiver.qltoa": lambda: quiver.pick_qltoa(
+            _GAMMA, dims, points("operator_argument"), p["directions"], p["targets"]),
+        "polydisk.agler_scalar": lambda: agler.scalar_problem(p["points"], p["values"]),
+        "polydisk.agler_ltoa": lambda: agler.nc_ltoa_problem(
+            p["operator_points"], p["directions"], p["targets"]),
+        "polydisk.agler_nc_rd": lambda: agler.nc_rd_problem(p["operator_points"],
+                                                            p["values"]),
+    }
+    return calls[setting]()
+
+
+_SETTING_ENUM = cli._schema("request.schema.json")["properties"]["setting"]["enum"]
+
+
+def test_settings_table_is_the_schema_enum():
+    assert set(cli._SETTINGS) == set(_SETTING_ENUM) == set(_PAYLOADS)
+    assert len(cli._SETTINGS) == len(_SETTING_ENUM) == 21
+
+
+@pytest.mark.parametrize("setting", _SETTING_ENUM)
+def test_every_setting_reports_its_library_call(setting, tmp_path, capsys):
+    """One valid request per setting through cli.main gives the verdict,
+    smallest eigenvalue, method, tail and Pick matrix of the direct call
+    (status and iterations for the Agler settings)."""
+    payload = _PAYLOADS[setting]
+    path = tmp_path / "req.json"
+    path.write_text(json.dumps({"schema_version": "1", "setting": setting,
+                                "payload": _to_json(payload)}))
+    expected = _direct_call(setting, payload)
+    if setting.startswith("polydisk."):
+        rep = agler.solve_feasibility(expected)
+        code, doc = run_cli(["agler", str(path)], capsys)
+        assert (doc["verdict"], doc["iterations"]) == (rep.status, rep.iterations)
+        assert code == (0 if rep.status == "feasible_with_certificate" else 1)
+        return
+    code, doc = run_cli(["check", str(path), "--emit-pick"], capsys)
+    reps = expected if isinstance(expected, dict) else {None: expected}
+    worst = min(reps.values(), key=lambda r: r.min_eigenvalue)
+    feasible = all(r.feasible for r in reps.values())
+    assert code == (0 if feasible else 1)
+    assert doc["verdict"] == ("feasible" if feasible else "infeasible")
+    assert doc["min_eigenvalue"] == worst.min_eigenvalue
+    assert doc["method"] == worst.method
+    assert doc["tail_bound"] == max(r.tail_bound for r in reps.values())
+    if isinstance(expected, dict):
+        assert {v: d["min_eigenvalue"] for v, d in doc["vertex_verdicts"].items()} \
+            == {v: r.min_eigenvalue for v, r in expected.items()}
+    else:
+        assert np.array_equal(serialize.matrix_from_json(doc["pick_matrix"]),
+                              expected.pick)
 
 
 class TestLiteralUnweightedFlag:
