@@ -94,9 +94,16 @@ def scalar_problem(points, values) -> AglerProblem:
     return AglerProblem(pts.shape[1], tuples, X, Y, variant="scalar_points")
 
 
+def _arity(tuples) -> int:
+    """Variables per condition, the first tuple's length; no tuple may be empty."""
+    if not tuples or not all(len(tup) for tup in tuples):
+        raise DimensionError("need at least one condition, each with a nonempty tuple")
+    return len(tuples[0])
+
+
 def nc_ltoa_problem(tuples, directions, targets) -> AglerProblem:
     """Operator-argument data on the noncommutative polydisk."""
-    return AglerProblem(len(tuples[0]), list(tuples), list(directions),
+    return AglerProblem(_arity(tuples), list(tuples), list(directions),
                         list(targets), variant="nc_ltoa")
 
 
@@ -107,12 +114,12 @@ def nc_rd_problem(tuples, values, basis_dim: Optional[int] = None) -> AglerProbl
     e_i' and the target W_i e_i', so the constraint target blocks become
     e_i' e_j'* - W_i e_i' e_j'* W_j*.
     """
+    d = _arity(tuples)
     tuples = [[as_complex_matrix(T) for T in tup] for tup in tuples]
     identities = [np.eye(len(tup[0]), dtype=np.complex128) for tup in tuples]
     ex_tuples, ex_dirs, ex_targets = basis_columns(tuples, identities, values,
                                                    basis_dim)
-    return AglerProblem(len(tuples[0]), ex_tuples, ex_dirs, ex_targets,
-                        variant="nc_rd")
+    return AglerProblem(d, ex_tuples, ex_dirs, ex_targets, variant="nc_rd")
 
 
 def constraint_rhs(problem: AglerProblem) -> np.ndarray:

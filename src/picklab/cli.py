@@ -23,7 +23,7 @@ import numpy as np
 
 from . import config, matcore
 from . import serialize as ser
-from .errors import BudgetError, PicklabError
+from .errors import ArgumentError, BudgetError, PicklabError
 
 
 EXIT_FEASIBLE = 0
@@ -438,19 +438,16 @@ def cmd_agler(args) -> int:
 def cmd_sample(args) -> int:
     from . import oracle
 
-    kind = args.kind
-    seed = args.seed if args.seed is not None else 0
+    kind, seed = args.kind, args.seed
+    if seed < 0:
+        raise ArgumentError("seed must be >= 0")
     if kind == "disk.blaschke":
         sample = oracle.sample_blaschke(args.degree, seed)
-    elif kind == "disk.poly":
-        sample = oracle.sample_contractive_poly(args.rows, args.cols,
-                                                args.degree, "disk", seed)
-    elif kind == "ball.poly":
-        if args.letters is None:
+    elif kind in ("disk.poly", "ball.poly"):
+        if kind == "ball.poly" and args.letters is None:
             raise _Usage("ball.poly needs --letters")
-        sample = oracle.sample_contractive_poly(args.rows, args.cols,
-                                                args.degree, "ball", seed,
-                                                d=args.letters)
+        sample = oracle.sample_contractive_poly(args.rows, args.cols, args.degree,
+                                                kind.split(".")[0], seed, d=args.letters)
     elif kind == "quiver.poly":
         if args.quiver_file is None:
             raise _Usage("quiver.poly needs --quiver-file")
@@ -484,7 +481,7 @@ def cmd_necessity(args) -> int:
         raise _Usage(f"unknown necessity setting {args.setting!r}; "
                      f"choose from {', '.join(necessity.SETTINGS)}")
     started = time.monotonic()
-    res = necessity.run_suite(args.setting, args.trials, args.seed or 0)
+    res = necessity.run_suite(args.setting, args.trials, args.seed)
     doc = {
         "schema_version": _REPORT_VERSION,
         "setting": args.setting,

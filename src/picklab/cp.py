@@ -75,13 +75,6 @@ class LinearMapOnMatrices:
         return np.allclose(U, U.conj().transpose(1, 0, 3, 2), rtol=0.0,
                            atol=atol * scale)
 
-    def compose_inner(self, inner: "LinearMapOnMatrices") -> "LinearMapOnMatrices":
-        """self after inner (unit images pushed through inner first)."""
-        if inner.out_dim != self.in_dim:
-            raise DimensionError("composition dimensions do not match")
-        images = np.einsum("ijab,abxy->ijxy", inner.unit_images, self.unit_images)
-        return LinearMapOnMatrices(inner.in_dim, self.out_dim, images)
-
 
 @dataclass(frozen=True)
 class CpVerdict:
@@ -277,17 +270,13 @@ def build_phi_quiver(G: Quiver, zdims: Grading, vdims: Grading,
                      series_tol: float = 1e-13) -> LinearMapOnMatrices:
     """Szego-kernel CP-test map on the block-diagonal point algebra.
 
-    Stored extensionally (the Choi construction needs full matrix units) as
-    the composition of the extended map with the blockwise conditional
-    expectation; on block-diagonal inputs it is the plain Szego-kernel
-    sandwich map, and its unit images coincide with the extended map's
-    because the Szego kernel only reads the vertex-diagonal blocks.
+    Stored extensionally, as the Choi construction needs full matrix units:
+    this is :func:`build_phi_bar_quiver`'s map, since composing it with the
+    blockwise conditional expectation changes no unit image (the Szego
+    kernel reads only the vertex-diagonal blocks).
     """
-    phi_bar = build_phi_bar_quiver(G, zdims, vdims, operator_points,
-                                   directions, targets, series_tol)
-    psi = blockwise_conditional_expectation(
-        [zdims[v] for v in G.vertices], len(operator_points))
-    return phi_bar.compose_inner(psi)
+    return build_phi_bar_quiver(G, zdims, vdims, operator_points, directions,
+                                targets, series_tol)
 
 
 def finite_section_kernel_check(kernel: Callable[[int, int, np.ndarray], np.ndarray],

@@ -1,11 +1,11 @@
 """Sampling oracle for certified Schur-class elements.
 
-Samples carry finitely many Taylor/word/path coefficients together with a
-certified bound on the true multiplier norm, so that data generated by the
-evaluation routines below is guaranteed to be interpolated by an actual
-Schur-class element.  This is the brute-force necessity oracle for every
-Pick criterion: data produced here must always yield PSD Pick matrices (up
-to reported tails).
+Samples carry finitely many Taylor/word/path coefficients and a certified
+bound on the true multiplier norm, so data generated by the evaluation
+routines below is interpolated by an actual Schur-class element: the
+necessity oracle for every Pick criterion (its data must always yield PSD
+Pick matrices, up to reported tails).  Polynomial samples of every kind
+share one draw, scale and return path; a kind only picks keys and shapes.
 
 Certification routes
   disk polynomials   sup-norm on the circle via a fine grid plus a Lipschitz
@@ -23,6 +23,7 @@ Certification routes
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
@@ -68,11 +69,8 @@ class SchurSample:
         return max(1.0 - self.norm_bound, 0.0)
 
 
-def _seed_rng(seed) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
-def _complex_gaussian(rng, shape):
+def complex_gaussian(rng, *shape) -> np.ndarray:
+    """Standard complex Gaussian array: real and imaginary parts N(0, 1/2)."""
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
 
 
@@ -146,8 +144,7 @@ def _blaschke_coefficients(zeros, c, length):
     series = np.zeros(length, dtype=np.complex128)
     series[0] = c
     for a in zeros:
-        geo = np.conj(a) ** np.arange(length)
-        inv = geo  # 1/(1 - conj(a) z)
+        inv = np.conj(a) ** np.arange(length)  # 1/(1 - conj(a) z)
         num = np.zeros(length, dtype=np.complex128)
         num[0] = -a
         num[1] = 1.0
@@ -165,7 +162,7 @@ def sample_blaschke(degree: int, seed, order: int = _BLASCHKE_ORDER) -> SchurSam
     """
     if degree < 0:
         raise ArgumentError("degree must be >= 0")
-    rng = _seed_rng(seed)
+    rng = np.random.default_rng(seed)
     radii = 0.9 * np.sqrt(rng.uniform(0, 1, size=degree))
     angles = rng.uniform(0, 2 * np.pi, size=degree)
     zeros = radii * np.exp(1j * angles)
@@ -197,56 +194,50 @@ def sample_contractive_poly(p: int, q: int, degree: int, kind: str, seed,
                             target: float = 0.95) -> SchurSample:
     """Random polynomial coefficients scaled to a certified norm bound.
 
-    kind "disk" draws p x q Taylor coefficients S_0..S_degree; kind "ball"
-    draws a coefficient for every word of length <= degree over d letters;
-    kind "quiver" draws one per path, shaped by the vertex gradings.  The
-    coefficients are scaled so the certified bound on the true multiplier
-    norm equals `target` (default 0.95); the truncated Toeplitz norm is then
-    at most `target` as well.
+    Each kind only chooses its keys, coefficient shapes and norm bound:
+    "disk" the Taylor indices 0..degree, "ball" the words of length <= degree
+    over d letters (both p x q), "quiver" the paths, shaped by the gradings.
+    One path then draws the coefficients in key order and scales them so the
+    certified bound on the true multiplier norm equals `target` (default
+    0.95); the truncated Toeplitz norm is then at most `target` as well.
     """
     if not 0 < target < 1:
         raise ArgumentError("target must lie in (0, 1)")
-    rng = _seed_rng(seed)
+    if degree < 0 or p < 1 or q < 1:
+        raise ArgumentError(f"need degree >= 0 and p, q >= 1, got {degree}, {p}, {q}")
+    if kind in ("ball", "quiver") and degree > 8:
+        raise ArgumentError(f"{kind} samples are capped at degree 8")
     if kind == "disk":
-        coeffs = {n: _complex_gaussian(rng, (p, q)) for n in range(degree + 1)}
-        bound = disk_sup_norm_bound(coeffs)
-        scale = target / bound if bound > 0 else 1.0
-        coeffs = {n: scale * C for n, C in coeffs.items()}
-        return SchurSample("disk", coeffs, norm_bound=target, scale=scale,
-                           shape=(p, q))
-    if kind == "ball":
+        shapes = {n: (p, q) for n in range(degree + 1)}
+        bound_of = disk_sup_norm_bound
+        fields = {"shape": (p, q)}
+    elif kind == "ball":
         if d is None or d < 1:
             raise ArgumentError("ball kind needs the alphabet size d")
-        if degree > 8:
-            raise ArgumentError("ball samples are capped at degree 8")
-        words = ball_mod.words_up_to(d, degree)
-        coeffs = {w: _complex_gaussian(rng, (p, q)) for w in words}
-        bound = free_norm_bound(coeffs, level_of=len, source_of=lambda w: 0)
-        scale = target / bound if bound > 0 else 1.0
-        coeffs = {w: scale * C for w, C in coeffs.items()}
-        return SchurSample("ball", coeffs, norm_bound=target, scale=scale,
-                           d=d, shape=(p, q))
-    if kind == "quiver":
+        shapes = {w: (p, q) for w in ball_mod.words_up_to(d, degree)}
+        bound_of = functools.partial(free_norm_bound, level_of=len,
+                                     source_of=lambda w: 0)
+        fields = {"d": d, "shape": (p, q)}
+    elif kind == "quiver":
         if quiver is None or in_dims is None or out_dims is None:
             raise ArgumentError("quiver kind needs the quiver and both gradings")
-        if degree > 8:
-            raise ArgumentError("quiver samples are capped at degree 8")
         if set(in_dims.dims) != set(out_dims.dims):
             raise ShapeError("gradings must cover the same vertex set")
-        paths = quiver_mod.paths_up_to(quiver, degree)
-        coeffs = {}
-        for path in paths:
-            rows = out_dims[path.target]
-            cols = in_dims[path.source]
-            if rows and cols:
-                coeffs[path] = _complex_gaussian(rng, (rows, cols))
-        bound = free_norm_bound(coeffs, level_of=lambda pth: pth.length,
-                                source_of=lambda pth: pth.source)
-        scale = target / bound if bound > 0 else 1.0
-        coeffs = {pth: scale * C for pth, C in coeffs.items()}
-        return SchurSample("quiver", coeffs, norm_bound=target, scale=scale,
-                           quiver=quiver, in_dims=in_dims, out_dims=out_dims)
-    raise ArgumentError(f"unknown sample kind {kind!r}")
+        shapes = {pth: (out_dims[pth.target], in_dims[pth.source])
+                  for pth in quiver_mod.paths_up_to(quiver, degree)}
+        shapes = {pth: shape for pth, shape in shapes.items() if all(shape)}
+        bound_of = functools.partial(free_norm_bound,
+                                     level_of=lambda pth: pth.length,
+                                     source_of=lambda pth: pth.source)
+        fields = {"quiver": quiver, "in_dims": in_dims, "out_dims": out_dims}
+    else:
+        raise ArgumentError(f"unknown sample kind {kind!r}")
+    rng = np.random.default_rng(seed)
+    coeffs = {key: complex_gaussian(rng, *shape) for key, shape in shapes.items()}
+    bound = bound_of(coeffs)
+    scale = target / bound if bound > 0 else 1.0
+    return SchurSample(kind, {key: scale * C for key, C in coeffs.items()},
+                       norm_bound=target, scale=scale, **fields)
 
 
 def _require_setting(sample: SchurSample, setting: str):
@@ -260,8 +251,7 @@ def eval_point(sample: SchurSample, lam: complex) -> np.ndarray:
     lam = complex(lam)
     if abs(lam) >= 1.0:
         raise DomainError(f"|lam| = {abs(lam):.6g} >= 1")
-    p, q = sample.shape
-    out = np.zeros((p, q), dtype=np.complex128)
+    out = np.zeros(sample.shape, dtype=np.complex128)
     for n, C in sample.coefficients.items():
         out += lam**n * C
     return out
@@ -381,16 +371,11 @@ def eval_quiver_ltoa(sample: SchurSample, direction, operator_point,
                 f"direction block at {v!r} has shape {X[v].shape}, expected "
                 f"{(xdims[v], sample.out_dims[v])}")
     out = np.zeros((xdims.total, sample.in_dims.total), dtype=np.complex128)
-    in_off = {v: 0 for v in G.vertices}
-    pos = 0
-    for v in G.vertices:
-        in_off[v] = pos
-        pos += sample.in_dims[v]
     for path, C in sample.coefficients.items():
         P = quiver_mod.path_power(operator_point, path, xdims)
         blk = P @ X[path.target] @ C
         r0 = xdims.offsets[path.source]
-        c0 = in_off[path.source]
+        c0 = sample.in_dims.offsets[path.source]
         out[r0:r0 + blk.shape[0], c0:c0 + blk.shape[1]] += blk
     return out
 
@@ -404,10 +389,9 @@ def toeplitz_truncation_norm(sample: SchurSample, levels: int) -> float:
     """
     if sample.setting == "disk":
         p, q = sample.shape
-        n = levels
-        T = np.zeros((n * p, n * q), dtype=np.complex128)
+        T = np.zeros((levels * p, levels * q), dtype=np.complex128)
         for k, C in sample.coefficients.items():
-            for r in range(k, n):
+            for r in range(k, levels):
                 T[r * p:(r + 1) * p, (r - k) * q:(r - k + 1) * q] = C
         return matcore.operator_norm(T)
     if sample.setting == "ball":

@@ -77,6 +77,25 @@ class TestExitCodes:
             assert out["error"]["code"] == "data"
             assert out["error"]["path"] == "/in_dim"
 
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--kind", "disk.poly", "--degree", "2", "--rows", "0"],
+        ["sample", "--kind", "disk.poly", "--degree", "2", "--cols", "-1"],
+        ["sample", "--kind", "disk.poly", "--degree", "-1"],
+        ["sample", "--kind", "ball.poly", "--degree", "1", "--letters", "2",
+         "--rows", "0"],
+        ["sample", "--kind", "disk.poly", "--degree", "2", "--seed", "-1"],
+        ["sample", "--kind", "disk.blaschke", "--degree", "2", "--seed", "-1"],
+        ["necessity", "disk.fov", "--trials", "0"],
+        ["necessity", "disk.fov", "--trials", "-3"],
+        ["necessity", "disk.fov", "--seed", "-1"],
+    ], ids="_".join)
+    def test_bad_size_trials_or_seed_is_argument_error(self, argv, capsys):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 65
+        assert json.loads(captured.out)["error"]["code"] == "ArgumentError"
+        assert captured.err == ""
+
     def test_unknown_necessity_setting_is_usage(self, capsys):
         code, doc = run_cli(["necessity", "bogus"], capsys)
         assert code == 64

@@ -102,6 +102,8 @@ EMPTY_INPUT = [
     (qv.pick_qltt, (G2, D2, D2, [], [], []), ShapeError),
     (qv.pick_qltrd, (G2, D2, [], [], []), ShapeError),
     (cp.build_phi_bar_quiver, (G2, D2, D2, [], [], []), ShapeError),
+    (agler.nc_rd_problem, ([[]], [np.zeros((1, 1))]), DimensionError),
+    (agler.nc_ltoa_problem, ([], [], []), DimensionError),
 ]
 
 
