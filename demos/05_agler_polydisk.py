@@ -5,8 +5,8 @@ interpolation in the Schur-Agler class asks instead for d positive kernels
 K_1..K_d with sum_k (1 - lam_k conj(zeta_k)) K_k = 1 - f conj(f).  That is
 a semidefinite feasibility problem; the solver alternates projections
 between the affine constraint set and the PSD-cone product (with a Dykstra
-correction) and either returns a verifiable certificate or reports a
-stable positive gap between the sets as infeasibility evidence.
+correction) and returns either a verifiable certificate or a verifiable
+Farkas witness of infeasibility.
 """
 
 import numpy as np
@@ -32,8 +32,10 @@ print("independent re-check: residual %.2e, kernel min eigs %s"
 # --- a forced-infeasible problem -------------------------------------------
 # With both points at the origin the constraint forces K_1 + K_2 to equal
 # [[1, 1], [1, 3/4]], whose least eigenvalue is negative -- no sum of PSD
-# kernels can achieve it.  The alternating projections stall at a positive
-# gap.
+# kernels can achieve it.  The first projection step already yields a Farkas
+# witness Lam (Lam - T_k* Lam T_k PSD for every k, tr(Lam R) < 0), which
+# the solver checks before it reports infeasible_evidence; agler.verify_witness
+# re-checks it independently.
 problem = agler.scalar_problem([[0.0, 0.0], [0.0, 0.0]], [0.0, 0.5])
 forced = np.array([[1.0, 1.0], [1.0, 0.75]])
 print("\nforced sum min eig:", matcore.min_eigenvalue(forced))

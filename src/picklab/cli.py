@@ -1,8 +1,8 @@
 """JSON command-line front end.
 
 One JSON document per invocation on stdout; diagnostics on stderr only.
-Exit codes: 0 feasible, 1 infeasible / infeasible evidence, 2 unknown or
-budget exceeded, 64 usage error, 65 data error.  `check` and `agler` run
+Exit codes: 0 feasible, 1 infeasible / verified Farkas witness, 2 unknown
+or budget exceeded, 64 usage error, 65 data error.  `check` and `agler` run
 every setting through one table, setting -> (module, entry point, payload
 fields); each field is decoded by the type the request schema gives it.
 """
@@ -13,6 +13,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import numbers
 import reprlib
 import sys
@@ -169,16 +170,22 @@ def _schema(name: str) -> dict:
     return schema
 
 
+def _validate(inst, schema, defs, path=()) -> None:
+    """Raise ValidationError for the shallowest failure of `inst`, the first
+    in keyword order among equals; `path` is where `inst` sits."""
+    errors = list(_errors(inst, schema, defs, path))
+    if errors:
+        path, message = min(errors, key=lambda e: len(e[0]))
+        raise ValidationError(message, "/" + "/".join(map(str, path)))
+
+
 def validate_document(doc: dict, schema_name: str) -> None:
     """Raise ValidationError if `doc` fails the packaged schema `schema_name`
     (JSON Schema draft 2020-12 semantics for the keywords the packaged
     schemas use).  Of several failures the shallowest is reported, the
     first in keyword order among equals."""
     schema = _schema(schema_name)
-    errors = list(_errors(doc, schema, schema.get("$defs", {})))
-    if errors:
-        path, message = min(errors, key=lambda e: len(e[0]))
-        raise ValidationError(message, "/" + "/".join(map(str, path)))
+    _validate(doc, schema, schema.get("$defs", {}))
 
 
 def _emit(doc: dict) -> None:
@@ -226,12 +233,24 @@ def _read_request(input_path: str):
 
 
 def _options(doc: dict, args) -> dict:
-    """The request's options, overridden by the flags given on the command line."""
+    """The request's options, overridden by the flags given on the command
+    line.  The merged options are checked against the request schema's
+    `options`, so a flag gets the checks a request file gets; a number must
+    also be finite (Python's JSON reader accepts NaN and Infinity)."""
     opts = dict(doc.get("options") or {})
     for name in ("tol", "max_level", "max_iter", "seed", "literal_unweighted"):
         value = getattr(args, name, None)
         if value is not None and value is not False:
             opts[name] = value
+    schema = _schema("request.schema.json")
+    try:
+        _validate(opts, schema["properties"]["options"], schema["$defs"], ("options",))
+    except ValidationError as exc:
+        raise _DataError(f"options do not validate: {exc}", exc.path)
+    for name, value in opts.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise _DataError(f"options do not validate: {value!r} is not a "
+                             f"finite number", f"/options/{name}")
     opts.setdefault("tol", "auto")
     return opts
 
@@ -435,6 +454,27 @@ def cmd_agler(args) -> int:
     return _finish(report, started)
 
 
+def _read_quiver_file(path: str) -> dict:
+    """A `sample --quiver-file` document: the request schema's quiver, with
+    the `in_dims` and `out_dims` gradings in place of `dims`."""
+    try:
+        with open(path) as fh:
+            spec = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise _DataError(f"cannot read quiver file: {exc}", path)
+    defs = _schema("request.schema.json")["$defs"]
+    quiver = defs["quiver"]
+    schema = {**quiver, "required": ["vertices", "arrows", "in_dims", "out_dims"],
+              "properties": {**quiver["properties"],
+                             "in_dims": quiver["properties"]["dims"],
+                             "out_dims": quiver["properties"]["dims"]}}
+    try:
+        _validate(spec, schema, defs)
+    except ValidationError as exc:
+        raise _DataError(f"quiver file does not validate: {exc}", exc.path)
+    return spec
+
+
 def cmd_sample(args) -> int:
     from . import oracle
 
@@ -451,11 +491,7 @@ def cmd_sample(args) -> int:
     elif kind == "quiver.poly":
         if args.quiver_file is None:
             raise _Usage("quiver.poly needs --quiver-file")
-        try:
-            with open(args.quiver_file) as fh:
-                spec = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise _DataError(f"cannot read quiver file: {exc}", args.quiver_file)
+        spec = _read_quiver_file(args.quiver_file)
         G = ser.quiver_from_json(spec)
         in_dims = ser.grading_from_json(G, spec["in_dims"])
         out_dims = ser.grading_from_json(G, spec["out_dims"])

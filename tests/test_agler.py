@@ -14,6 +14,38 @@ def contraction(rng, n, bound=0.6):
     return M * (bound / matcore.operator_norm(M))
 
 
+def assert_witness(prob, Lam):
+    """Hand check of a Farkas witness: Lam Hermitian, Lam - T_k* Lam T_k PSD
+    for block-diagonal T_k built block by block, and tr(Lam R) < 0."""
+    N, m = prob.conditions, prob.block_dim
+    assert np.array_equal(Lam, Lam.conj().T)
+    R = np.zeros((N * m, N * m), dtype=complex)
+    for i in range(N):
+        for j in range(N):
+            R[i * m:(i + 1) * m, j * m:(j + 1) * m] = (
+                prob.directions[i] @ prob.directions[j].conj().T
+                - prob.targets[i] @ prob.targets[j].conj().T)
+    for k in range(prob.d):
+        Tk = np.zeros((N * m, N * m), dtype=complex)
+        for i in range(N):
+            Tk[i * m:(i + 1) * m, i * m:(i + 1) * m] = prob.tuples[i][k]
+        W = Lam - Tk.conj().T @ Lam @ Tk
+        assert np.linalg.eigvalsh((W + W.conj().T) / 2)[0] >= 0
+    assert np.trace(Lam @ R).real < 0
+
+
+def schur_factor(rng):
+    """0.7 e^(i theta) (z - a) / (1 - conj(a) z) with |a| <= 0.5."""
+    a = 0.5 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+    c = 0.7 * np.exp(2j * np.pi * rng.uniform())
+    return lambda z: c * (z - a) / (1 - np.conj(a) * z)
+
+
+def bidisk_points(rng, N):
+    return 0.6 * np.sqrt(rng.uniform(size=(N, 2))) \
+        * np.exp(2j * np.pi * rng.uniform(size=(N, 2)))
+
+
 FEASIBLE_POINTS = [[0.0, 0.0], [0.5, 0.0]]
 FEASIBLE_VALUES = [0.0, 0.5]  # from f(lam) = lam_1
 INFEASIBLE_POINTS = [[0.0, 0.0], [0.0, 0.0]]
@@ -112,6 +144,8 @@ class TestSolver:
         rep = agler.solve_feasibility(prob, tol=1e-6, max_iter=10000)
         assert rep.status == "infeasible_evidence"
         assert rep.gap_estimate >= 1e-3
+        assert rep.iterations <= 5
+        assert_witness(prob, rep.witness)
         # the affine set forces K_1 + K_2 = [[1, 1], [1, 3/4]], not PSD
         assert matcore.min_eigenvalue([[1, 1], [1, 0.75]]) < 0
 
@@ -173,7 +207,45 @@ class TestSolver:
                 agree += rep.status in ("infeasible_evidence", "unknown") \
                     if pick.min_eigenvalue > -1e-6 \
                     else rep.status == "infeasible_evidence"
+            if rep.status == "infeasible_evidence":
+                assert_witness(prob, rep.witness)
         assert agree == 10
+
+    @pytest.mark.parametrize("N, m", [(2, 1), (3, 1), (2, 2)])
+    def test_modulus_above_one_has_witness(self, N, m):
+        # scalar bidisk values of modulus 1.5, or operator data Y_i = 1.5 X_i
+        rng = np.random.default_rng(10 + N + m)
+        if m == 1:
+            prob = agler.scalar_problem(
+                bidisk_points(rng, N), 1.5 * np.exp(2j * np.pi * rng.uniform(size=N)))
+        else:
+            X = [cg(rng, m, 2) for _ in range(N)]
+            prob = agler.nc_ltoa_problem(
+                [[contraction(rng, m) for _ in range(2)] for _ in range(N)],
+                X, [1.5 * Xi for Xi in X])
+        rep = agler.solve_feasibility(prob)
+        assert rep.status == "infeasible_evidence"
+        assert_witness(prob, rep.witness)
+        trace, eigs = agler.verify_witness(prob, rep.witness)
+        assert trace < 0 and min(eigs) >= 0
+        # Lam - c I with c (1 - rho^2) > (1 + rho^2) ||Lam||, rho <= 0.6, is
+        # outside the dual cone: every Lam - T_k* Lam T_k is negative definite
+        c = 4 * np.linalg.norm(rep.witness)
+        _, eigs = agler.verify_witness(prob, rep.witness - c * np.eye(N * m))
+        assert max(eigs) < 0
+
+    @pytest.mark.parametrize("tol, max_iter", [(1e-6, 2000), (0.0, 300)])
+    def test_feasible_products_never_get_a_witness(self, tol, max_iter):
+        # s(z_1) t(z_2) with s, t disk Schur functions is Agler (Ando)
+        rng = np.random.default_rng(11)
+        for N in (2, 3, 3, 4, 4, 5):
+            pts = bidisk_points(rng, N)
+            s, t = schur_factor(rng), schur_factor(rng)
+            rep = agler.solve_feasibility(
+                agler.scalar_problem(pts, s(pts[:, 0]) * t(pts[:, 1])),
+                tol=tol, max_iter=max_iter)
+            assert rep.status != "infeasible_evidence"
+            assert rep.witness is None
 
     def test_nc_d1_unique_affine_point_is_stein_kernel(self):
         rng = np.random.default_rng(5)

@@ -57,14 +57,51 @@ class TestExitCodes:
 
     def test_invalid_option_reports_its_path(self, tmp_path, capsys):
         doc = json.loads((FIXTURES / "disk_fov_feasible.json").read_text())
-        for bad in (0, True, "many", 2.5):
-            doc["options"] = {"max_iter": bad}
+        for name, bad in [("max_iter", 0), ("max_iter", True), ("max_iter", "many"),
+                          ("max_iter", 2.5), ("tol", float("nan")),
+                          ("tol", float("inf"))]:
+            doc["options"] = {name: bad}
             p = tmp_path / "req.json"
             p.write_text(json.dumps(doc))
             code, out = run_cli(["check", str(p)], capsys)
             assert code == 65, bad
             assert out["error"]["code"] == "data"
-            assert out["error"]["path"] == "/options/max_iter"
+            assert out["error"]["path"] == f"/options/{name}"
+
+    @pytest.mark.parametrize("argv, path", [
+        (["agler", "--tol", "-1", "agler_bidisk_feasible.json"], "/options/tol"),
+        (["agler", "--tol", "nan", "agler_bidisk_feasible.json"], "/options/tol"),
+        (["agler", "--tol", "inf", "agler_bidisk_feasible.json"], "/options/tol"),
+        (["agler", "--max-iter", "-3", "agler_bidisk_feasible.json"],
+         "/options/max_iter"),
+        (["check", "--tol", "-1", "disk_fov_feasible.json"], "/options/tol"),
+        (["check", "--tol", "nan", "disk_fov_feasible.json"], "/options/tol"),
+        (["check", "--tol", "inf", "disk_fov_feasible.json"], "/options/tol"),
+        (["check", "--max-level", "-1", "disk_fov_feasible.json"],
+         "/options/max_level"),
+        (["sample", "--kind", "quiver.poly", "--degree", "1", "--quiver-file",
+          "quiver.json"], "/arrows/0"),
+    ], ids=lambda v: "_".join(v) if isinstance(v, list) else v)
+    def test_bad_flag_or_quiver_file_reports_its_path(self, argv, path, tmp_path,
+                                                       capsys):
+        # a quiver file whose arrows use other keys than src and rng
+        (tmp_path / "quiver.json").write_text(json.dumps({
+            "vertices": ["a"], "arrows": [{"name": "x", "source": "a", "target": "a"}],
+            "in_dims": {"a": 1}, "out_dims": {"a": 1}}))
+        code = cli.main([str(tmp_path / a) if a == "quiver.json"
+                         else str(FIXTURES / a) if a.endswith(".json") else a
+                         for a in argv])
+        captured = capsys.readouterr()
+        assert code == 65
+        error = json.loads(captured.out)["error"]
+        assert (error["code"], error["path"]) == ("data", path)
+        assert captured.err == ""
+
+    def test_zero_tol_never_calls_feasible_data_infeasible(self, capsys):
+        code, doc = run_cli(["agler", "--tol", "0",
+                             str(FIXTURES / "agler_bidisk_feasible.json")], capsys)
+        assert doc["verdict"] != "infeasible_evidence"
+        assert code != 1
 
     def test_invalid_map_reports_its_path(self, tmp_path, capsys):
         doc = json.loads((FIXTURES / "map_transpose.json").read_text())
@@ -288,6 +325,19 @@ class TestSchemas:
         sample = serialize.sample_from_json(json.loads(out.read_text()))
         doc2 = serialize.sample_to_json(sample)
         assert json.dumps(doc2, sort_keys=True) == json.dumps(doc, sort_keys=True)
+
+    def test_valid_quiver_file_gives_a_sample(self, capsys, tmp_path):
+        quiver_file = tmp_path / "quiver.json"
+        quiver_file.write_text(json.dumps({
+            "vertices": ["a", "b"],
+            "arrows": [{"name": "x", "src": "a", "rng": "b"},
+                       {"name": "y", "src": "b", "rng": "a"}],
+            "in_dims": {"a": 1, "b": 2}, "out_dims": {"a": 2, "b": 1}}))
+        code, doc = run_cli(["sample", "--kind", "quiver.poly", "--degree", "2",
+                             "--quiver-file", str(quiver_file)], capsys)
+        assert code == 0
+        cli.validate_document(doc, "sample.schema.json")
+        assert doc["in_dims"] == {"a": 1, "b": 2}
 
     def test_report_pick_matrix_hermitian(self, capsys):
         code, doc = run_cli(["check", str(FIXTURES / "disk_fov_feasible.json"),
