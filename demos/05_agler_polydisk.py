@@ -3,10 +3,10 @@
 On the polydisk there is no single Pick matrix: solvability of
 interpolation in the Schur-Agler class asks instead for d positive kernels
 K_1..K_d with sum_k (1 - lam_k conj(zeta_k)) K_k = 1 - f conj(f).  That is
-a semidefinite feasibility problem; the solver alternates projections
-between the affine constraint set and the PSD-cone product (with a Dykstra
-correction) and returns either a verifiable certificate or a verifiable
-Farkas witness of infeasibility.
+a semidefinite feasibility problem; the solver runs a primal-dual
+interior-point method (Mehrotra predictor-corrector steps) and returns
+either a verifiable certificate or a verifiable Farkas witness of
+infeasibility.
 """
 
 import numpy as np
@@ -19,7 +19,7 @@ from picklab import agler, matcore
 # and K_2 = 0.
 problem = agler.scalar_problem([[0.0, 0.0], [0.5, 0.0]], [0.0, 0.5])
 report = agler.solve_feasibility(problem, tol=1e-6)
-print("status:", report.status, "after", report.iterations, "iterations")
+print("status:", report.status, "after", report.iterations, "Newton steps")
 print("K_1 ~ ones:", np.round(report.certificate.kernels[0].real, 4).tolist())
 print("K_2 ~ zero:", np.round(report.certificate.kernels[1].real, 4).tolist())
 
@@ -32,15 +32,19 @@ print("independent re-check: residual %.2e, kernel min eigs %s"
 # --- a forced-infeasible problem -------------------------------------------
 # With both points at the origin the constraint forces K_1 + K_2 to equal
 # [[1, 1], [1, 3/4]], whose least eigenvalue is negative -- no sum of PSD
-# kernels can achieve it.  The first projection step already yields a Farkas
-# witness Lam (Lam - T_k* Lam T_k PSD for every k, tr(Lam R) < 0), which
-# the solver checks before it reports infeasible_evidence; agler.verify_witness
-# re-checks it independently.
+# kernels can achieve it.  Within a few Newton steps the dual iterate is a
+# Farkas witness Lam (Lam - T_k* Lam T_k PSD for every k, tr(Lam R) < 0),
+# which the solver checks before it reports infeasible_evidence;
+# agler.verify_witness re-checks it independently.  The gap estimate is
+# -tr(Lam R), a lower bound on how far the data are from decomposable.
 problem = agler.scalar_problem([[0.0, 0.0], [0.0, 0.0]], [0.0, 0.5])
 forced = np.array([[1.0, 1.0], [1.0, 0.75]])
 print("\nforced sum min eig:", matcore.min_eigenvalue(forced))
 report = agler.solve_feasibility(problem, tol=1e-6)
 print("status:", report.status, "| gap estimate %.4f" % report.gap_estimate)
+trace, witness_eigs = agler.verify_witness(problem, report.witness)
+print("independent re-check: tr(Lam R) %.4f, min eig of Lam - T_k* Lam T_k %.2e"
+      % (trace, min(witness_eigs)))
 
 # --- one variable is just the disk -----------------------------------------
 # For d = 1 the affine set pins K_1 to the classical Pick kernel, so the

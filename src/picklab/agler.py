@@ -3,16 +3,11 @@
 The decision is whether the target blocks R(i,j) (1 - f_i conj(f_j) in the
 scalar case, X_i X_j* - Y_i Y_j* in the operator-argument case) can be
 written as sum_k (K_k(i,j) - T_k^(i) K_k(i,j) T_k^(j)*) with every kernel
-K_k positive semidefinite.  The solver runs Dykstra's alternating
-projections on the stack of kernels: onto the affine constraint set (the
-N^2 block systems and their pseudoinverses held as one array each, applied
-batched) and onto the product of PSD cones (batched eigenvalue clipping),
-with the Dykstra correction on the cone side so the iterates converge into
-the intersection when it is nonempty.  The affine set is never empty, so
-infeasibility is a positive gap between the two sets; it is reported only
-with a checked Farkas witness, a Hermitian Lam with Lam - T_k* Lam T_k PSD
-for every k and tr(Lam R) < 0, read off the affine step's displacement and
-shifted by a multiple of the identity into exact dual feasibility.
+K_k positive semidefinite.  The solver is a primal-dual interior-point
+method on the phase-1 SDP `max t` with every K_k - t I PSD.  Its dual
+iterate is the Farkas witness of infeasibility, a Hermitian Lam with
+Lam - T_k* Lam T_k PSD for every k and tr(Lam R) < 0, reported only once
+checked.
 """
 
 from __future__ import annotations
@@ -27,9 +22,10 @@ from .errors import ArgumentError, BudgetError, DimensionError, DomainError
 from .matcore import as_complex_matrix
 from .reports import basis_columns, stacked_middle
 
-VARIABLE_BUDGET = 20000
+SCHUR_BUDGET = 2 ** 20  # entries of the dense (N m)^2-square Schur complement
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 10000
+_STEP_FRACTION = 0.98  # of the way to the cone boundary, per Newton step
 
 
 @dataclass(eq=False)
@@ -160,172 +156,177 @@ class AglerReport:
     witness: Optional[np.ndarray] = None  # Farkas witness of infeasible_evidence
 
 
-def _blocks(S: np.ndarray, N: int, m: int) -> np.ndarray:
-    """A stack (d, N m, N m) as per-(i, j)-block vectors (N, N, d m^2),
-    kernel-major and row-major within a block."""
-    return S.reshape(-1, N, m, N, m).transpose(1, 3, 0, 2, 4).reshape(N, N, -1)
+def _block_diagonals(T: np.ndarray) -> np.ndarray:
+    """The condition blocks T (N, d, m, m) as d dense blockdiag_i T_k^(i)."""
+    N, d, m = T.shape[:3]
+    return np.einsum("ij,ikab->kiajb", np.eye(N), T).reshape(d, N * m, N * m)
 
 
-def _stack(x: np.ndarray, N: int, m: int) -> np.ndarray:
-    """Inverse of :func:`_blocks`."""
-    return x.reshape(N, N, -1, m, m).transpose(2, 0, 3, 1, 4).reshape(-1, N * m, N * m)
+def _equal_kernels(T: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """K solving sum_k (K_ij - T_k^(i) K_ij T_k^(j)*) = R_ij for every block,
+    batched; d I - sum_k T_k^(i) (x) conj(T_k^(j)) is invertible because
+    every T_k^(i) is a strict contraction."""
+    N, d, m = T.shape[:3]
+    E = np.einsum("ikac,jkbe->ijabce", T, T.conj()).reshape(N, N, m * m, m * m)
+    r = R.reshape(N, m, N, m).transpose(0, 2, 1, 3).reshape(N, N, m * m, 1)
+    x = np.linalg.solve(d * np.eye(m * m) - E, r)
+    return matcore.hermitize(
+        x.reshape(N, N, m, m).transpose(0, 2, 1, 3).reshape(N * m, N * m))
 
 
-def _certificate(problem, kernels, it) -> AglerCertificate:
-    return AglerCertificate(list(matcore.hermitize(kernels)),
-                            residual_norm=residual_norm(problem, kernels),
-                            iterations=it)
-
-
-def _farkas_witness(T, A, R, resid, step, trace, gain, lift
-                    ) -> Optional[np.ndarray]:
-    """The checked Farkas witness Lam' of one affine step, or None.
-
-    `step` holds Y - K = A*(Lam), Lam the stack of G resid with
-    G = (A A*)^-1, and `trace` is tr(Lam R).  Lam' = Lam + s I with
-    s = (max(0, -mu) + 4 n eps ||Lam||) / gain, mu = min eig (Y - K): the
-    second term is a rounding-sized slack, so that the check below does not
-    hinge on the sign of a rounding error.  Lam' is formed only when
-    trace + max(0, -mu) lift < 0, and returned when every
-    W_k = Lam' - T_k* Lam' T_k, formed directly from the condition blocks
-    T (N, d, m, m), has no negative eigenvalue and tr(Lam' R) < -margin
-    (see :func:`solve_feasibility`).
-    """
-    N, m = T.shape[0], T.shape[-1]
-    mu = float(np.linalg.eigvalsh(_stack(step, N, m))[:, 0].min())
-    if trace - min(0.0, mu) * lift >= 0:
-        return None
-    G = np.linalg.inv(A @ A.conj().swapaxes(-1, -2))
-    Lam = matcore.hermitize(_stack(np.einsum("ijab,ijb->ija", G, resid), N, m)[0])
+def _is_witness(T: np.ndarray, Lam: np.ndarray, R: np.ndarray) -> bool:
+    """Whether Lam passes the witness check of :func:`solve_feasibility`:
+    every W_k = Lam - T_k* Lam T_k, formed from the condition blocks T,
+    has no negative eigenvalue and tr(Lam R) < -margin."""
     n, eps = R.shape[0], np.finfo(float).eps
-    shift = (max(0.0, -mu) + 4 * n * eps * np.linalg.norm(Lam)) / gain
-    Lam = Lam + shift * np.eye(n)
+    lift = float(np.trace(R).real) / (
+        1.0 - float(np.linalg.norm(T, 2, axis=(-2, -1)).max()) ** 2)
     W = Lam - np.stack([matcore.sandwich(Tk, Lam, Tk)
                         for Tk in T.conj().swapaxes(-1, -2).swapaxes(0, 1)])
     norm_lam = float(np.linalg.norm(Lam))
     margin = 4 * n * eps * norm_lam * max(lift, 0.0) \
         + n * n * eps * norm_lam * float(np.linalg.norm(R))
-    if (np.linalg.eigvalsh(matcore.hermitize(W))[:, 0].min() >= 0.0
-            and float(np.vdot(Lam, R).real) < -margin):
-        return Lam
-    return None
+    return bool(np.linalg.eigvalsh(matcore.hermitize(W))[:, 0].min() >= 0.0
+                and np.vdot(Lam, R).real < -margin)
 
 
 def solve_feasibility(problem: AglerProblem, tol: float = DEFAULT_TOL,
                       max_iter: int = DEFAULT_MAX_ITER,
                       keep_history: bool = False) -> AglerReport:
-    """Decide Agler-decomposability by Dykstra-corrected alternating projections.
+    """Decide Agler-decomposability with a primal-dual interior-point method.
 
-    The kernels are one stack (d, N m, N m).  Block (i, j) of the constraint
-    is A_ij x_ij = r_ij, with x_ij the d kernels' (i, j) blocks as one vector
-    and A_ij = [I - T_1^(i) (x) conj(T_1^(j)), ..., I - T_d^(i) (x)
-    conj(T_d^(j))]; all N^2 systems and their pseudoinverses are one array
-    each, so a step is one batched eigh (PSD projection), two batched
-    products (affine projection) and one batched eigvalsh (PSD violation).
-    The first block of A_ij is invertible because every T_k^(i) is a strict
-    contraction, so A_ij has full row rank and the affine set is never
-    empty.
+    With A(K) = sum_k (K_k - T_k K_k T_k*), T_k = blockdiag_i T_k^(i), this
+    is Mehrotra's predictor-corrector method with the HKM direction on the
+    phase-1 SDP  max t  s.t.  A(S) + t A(I) = R, S_k PSD, K_k = S_k + t I.
+    Its dual is  min tr(Lam R)  s.t.  Z_k = Lam - T_k* Lam T_k PSD and
+    tr(Lam A(I)) = 1.  The data are decomposable exactly when t* >= 0, and
+    t <= t* <= tr(Lam R) at every feasible pair.  Both sides start strictly
+    feasible: every K_k the equal-kernel solution of the block systems, t
+    its least eigenvalue minus its spectral norm, and Lam = I / tr A(I),
+    whose Z_k = (I - T_k* T_k) / tr A(I) are positive definite.  A Newton
+    step solves the dense (N m)^2-square Schur complement
+    sum_k A_k (S_k (x) conj(Z_k^-1)) A_k* (four Kronecker terms per k),
+    averaged with its conjugate under X -> X*, for the predictor and for
+    the corrector.  The primal residual R - A(K) is carried in the
+    right-hand side, so that rounding and short steps do not leave it
+    behind.  `iterations` counts Newton steps (0 when the start decides);
+    `history` holds the duality gap tr(Lam R) - t of every iterate.
 
-    feasible_with_certificate: an iterate satisfies both the affine
-    constraint and positivity within tol.
+    feasible_with_certificate: the kernels K_k = S_k + t I have PSD
+    violation (the 2-norm of their negative eigenvalues) <= tol and residual
+    ||R - A(K)|| <= max(tol, n eps (||R|| + 2 ||K||)), the rounding level of
+    forming it (n = N m, eps the machine epsilon, norms Frobenius);
+    gap_estimate is the duality gap.
 
-    infeasible_evidence: a checked Farkas witness, returned as `witness`: a
-    Hermitian Lam' with Lam' - T_k* Lam' T_k PSD for every k and
-    tr(Lam' R) < 0.  For any PSD kernels with A(K) = R it would give
-    0 > tr(Lam' R) = sum_k tr(K_k (Lam' - T_k* Lam' T_k)) >= 0.  The witness
-    comes from the affine step x = y - A_pinv resid: with G = (A A*)^-1,
-    A_pinv = A* G, so Y - K = A*(Lam) for Lam the stack of G resid, and
-    tr(Lam R) = <A*(Lam), K> = <Y - K, Y> - ||Y - K||^2.  On infeasible
-    data Y - K tends to the minimal displacement between the two sets
-    (Bauschke-Borwein), which is PSD and orthogonal to Y, so
-    tr(Lam R) -> -||Y - K||^2.  Lam is shifted by max(0, -mu) / (1 - rho^2)
-    times I, mu the least eigenvalue of Y - K, to make every
-    Lam - T_k* Lam T_k PSD (see :func:`_farkas_witness`).  While the gap
-    exceeds 10*tol, each iteration screens for a witness without an
-    eigenvalue call: the Rayleigh quotient <Y - K, Y> / tr Y bounds mu from
-    above, hence the shifted trace from below when tr R >= 0.  Only when
-    that bound is negative are mu, G and the shifted Lam formed.
-
-    Rounding margin (n = N m, eps the machine epsilon, norms Frobenius, to
-    first order in eps, with n for LAPACK's backward-error constant):
-    forming W_k = Lam' - T_k* Lam' T_k, m-term block products with
-    ||T_k^(i)|| < 1, and eigvalsh's backward error on ||W_k|| <= 2 ||Lam'||
-    each move an eigenvalue of W_k by at most 2 n eps ||Lam'||, so a
-    computed least eigenvalue >= 0 leaves the exact one >= -delta,
-    delta = 4 n eps ||Lam'||.  Any feasible K has
+    infeasible_evidence: the dual iterate Lam, returned as `witness` once
+    checked: Lam Hermitian, every Lam - T_k* Lam T_k PSD, tr(Lam R) < 0.
+    For PSD kernels with A(K) = R it would give
+    0 > tr(Lam R) = sum_k tr(K_k (Lam - T_k* Lam T_k)) >= 0.  gap_estimate
+    is -tr(Lam R), a lower bound on -t*.  Rounding margin (first order in
+    eps, with n for LAPACK's backward-error constant): forming
+    W_k = Lam - T_k* Lam T_k from m-term block products with
+    ||T_k^(i)|| < 1, and eigvalsh's backward error on ||W_k|| <= 2 ||Lam||,
+    each move an eigenvalue of W_k by at most 2 n eps ||Lam||, so a computed
+    least eigenvalue >= 0 leaves the exact one >= -delta,
+    delta = 4 n eps ||Lam||.  Any feasible K has
     sum_k tr K_k <= tr R / (1 - rho^2), rho = max ||T_k^(i)||, since
-    tr R = sum_k tr(K_k A*(I)_k).  So feasibility would force
-    tr(Lam' R) >= -delta max(tr R, 0) / (1 - rho^2), and the computed trace,
-    an n^2-term sum, is within n^2 eps ||Lam'|| ||R|| of the exact one.  A
+    tr R = sum_k tr(K_k (I - T_k* T_k)); so feasibility would force
+    tr(Lam R) >= -delta max(tr R, 0) / (1 - rho^2).  The computed trace, an
+    n^2-term sum, is within n^2 eps ||Lam|| ||R|| of the exact one.  The
     witness is accepted only when the computed trace is below minus the sum
     of these two terms.
 
-    unknown otherwise: no witness within max_iter iterations; gap_estimate
-    is then the last gap ||x - y||.
+    unknown otherwise: max_iter Newton steps gave neither, the duality gap
+    fell to n^2 eps ||Lam|| ||R||, the rounding level of tr(Lam R), or
+    rounding left no step to take (as with tol = 0 on extremal data, whose
+    solution set has no interior); gap_estimate is the last duality gap.
     """
     if not (np.isfinite(tol) and tol >= 0):
         raise ArgumentError(f"tol must be finite and >= 0, got {tol!r}")
     if max_iter < 1:
         raise ArgumentError(f"max_iter must be >= 1, got {max_iter!r}")
     N, m, d = problem.conditions, problem.block_dim, problem.d
-    nvar = d * (N * m) ** 2
-    if nvar > VARIABLE_BUDGET:
-        raise BudgetError(
-            f"variable dimension {nvar} exceeds the dense-operator budget "
-            f"{VARIABLE_BUDGET}")
+    n, eps = N * m, np.finfo(float).eps
+    if n ** 4 > SCHUR_BUDGET:
+        raise BudgetError(f"the dense Schur complement, (N m)^2 = {n * n} square, "
+                          f"has more entries than the budget {SCHUR_BUDGET}")
     R = constraint_rhs(problem)
-    r = _blocks(R, N, m)
     T = np.array(problem.tuples)
-    A = np.tile(np.eye(m * m), d) - np.einsum(
-        "ikac,jkbe->ijabkce", T, T.conj()).reshape(N, N, m * m, d * m * m)
-    A_pinv = np.linalg.pinv(A, rcond=1e-12)
-    gain = 1.0 - float(np.linalg.norm(T, 2, axis=(-2, -1)).max()) ** 2
-    lift = float(np.trace(R).real) / gain  # d tr(Lam' R) / d max(0, -mu)
-    x = np.einsum("ijab,ijb->ija", A_pinv, r)
-    K = _stack(x, N, m)
-    corr = np.zeros_like(K)
+    Td = _block_diagonals(T)
+    TdH = Td.conj().swapaxes(-1, -2)
+
+    def op(S):  # A on a stack (d, n, n)
+        return (S - Td @ S @ TdH).sum(axis=0)
+
+    def adj(Lam):  # A*, a stack (d, n, n)
+        return Lam - TdH @ Lam @ Td
+
+    I = np.eye(n)
+    B = op(np.broadcast_to(I, (d, n, n)))
+    K0 = _equal_kernels(T, R)
+    ev = np.linalg.eigvalsh(K0)
+    t = float(ev[0] - (np.abs(ev).max() or 1.0))
+    S = np.repeat((K0 - t * I)[None], d, axis=0)
+    Lam = I / np.trace(B).real
     history: List[float] = []
-    for it in range(1, max_iter + 1):
-        shifted = K + corr
-        lam, V = np.linalg.eigh(matcore.hermitize(shifted))
-        lam = np.clip(lam, 0.0, None)
-        Y = (V * lam[:, None, :]) @ V.conj().swapaxes(1, 2)
-        corr = shifted - Y
-        y = _blocks(Y, N, m)
-        resid = np.einsum("ijab,ijb->ija", A, y) - r
-        x = y - np.einsum("ijab,ijb->ija", A_pinv, resid)
-        K = _stack(x, N, m)
-        step = y - x
-        gap = float(np.linalg.norm(step))
-        # combined squared distance at the affine iterate: the affine
-        # residual vanishes there, so only the PSD violation remains
-        violation = float(np.sqrt(np.sum(
-            np.minimum(np.linalg.eigvalsh(matcore.hermitize(K)), 0.0) ** 2)))
+    for it in range(max_iter + 1):
+        K, Z = S + t * I, adj(Lam)
+        dual = float(np.vdot(Lam, R).real)
+        gap = float(dual - t)
         if keep_history:
-            history.append(violation)
-        if violation <= tol:
-            return AglerReport("feasible_with_certificate",
-                               _certificate(problem, K, it),
+            history.append(gap)
+        violation = float(np.sqrt(np.sum(
+            np.minimum(np.linalg.eigvalsh(K), 0.0) ** 2)))
+        residual = float(np.linalg.norm(R - op(K)))
+        floor = n * eps * (np.linalg.norm(R) + 2 * np.linalg.norm(K))
+        if violation <= tol and residual <= max(tol, floor):
+            cert = AglerCertificate(list(K), residual, it)
+            return AglerReport("feasible_with_certificate", cert,
                                gap_estimate=gap, iterations=it, history=history)
-        if np.linalg.norm(resid) <= tol:
-            return AglerReport("feasible_with_certificate",
-                               _certificate(problem, Y, it),
-                               gap_estimate=gap, iterations=it, history=history)
-        if gap > 10 * tol:
-            # tr(Lam R) = <Y - K, K> = <Y - K, Y> - gap^2, and the Rayleigh
-            # quotient <Y - K, Y> / tr Y bounds min eig (Y - K) from above
-            inner, tr_Y = float(np.vdot(step, y).real), float(lam.sum())
-            trace = inner - gap ** 2
-            rayleigh = inner / tr_Y if tr_Y > 0 else 0.0
-            if lift < 0 or trace - min(0.0, rayleigh) * lift < 0:
-                witness = _farkas_witness(T, A, R, resid, step, trace, gain,
-                                          lift)
-                if witness is not None:
-                    return AglerReport("infeasible_evidence", None,
-                                       gap_estimate=gap, iterations=it,
-                                       history=history, witness=witness)
-    return AglerReport("unknown", None, gap_estimate=gap,
-                       iterations=max_iter, history=history)
+        if dual < 0 and _is_witness(T, Lam, R):
+            return AglerReport("infeasible_evidence", None, gap_estimate=-dual,
+                               iterations=it, history=history, witness=Lam)
+        if it == max_iter or gap <= n * n * eps * np.linalg.norm(Lam) \
+                * np.linalg.norm(R):
+            break
+        w, V = np.linalg.eigh(np.concatenate([S, Z]))
+        if w[:, 0].min() <= 0:
+            break  # rounding has pushed an iterate out of its cone
+        root = (V / np.sqrt(w)[:, None, :]) @ V.conj().swapaxes(-1, -2)
+        Zi = root[d:] @ root[d:]
+        TS, TZi = Td @ S, Td @ Zi
+        P = np.stack([S, -TS, -S @ TdH, TS @ TdH]).reshape(4 * d, n * n)
+        Q = np.stack([Zi, TZi, Zi @ TdH, TZi @ TdH]).conj().reshape(4 * d, n * n)
+        M = (P.T @ Q).reshape(n, n, n, n).transpose(0, 2, 1, 3)
+        M = ((M + M.conj().transpose(1, 0, 3, 2)) / 2).reshape(n * n, n * n)
+        mu = float(np.vdot(S, Z).real) / (d * n)
+
+        def direction(G):  # A(dS) + dt A(I) = R - A(K), tr((Lam + dLam) B) = 1
+            u, v = np.linalg.solve(M, np.stack([G.ravel(), B.ravel()], 1)).T
+            dt = (1 - np.vdot(B, Lam + u.reshape(n, n)).real) / np.vdot(B, v).real
+            dLam = matcore.hermitize((u + dt * v).reshape(n, n))
+            return dt, dLam, adj(dLam)
+
+        def steps(dS, dZ):  # primal and dual, at most 1, short of the boundary
+            low = np.linalg.eigvalsh(matcore.hermitize(
+                root @ np.concatenate([dS, dZ]) @ root))[:, 0]
+            alpha = _STEP_FRACTION / np.maximum(-low, _STEP_FRACTION)
+            return alpha[:d].min(), alpha[d:].min()
+
+        try:
+            dt, dLam, dZ = direction(t * B - R)
+            dS = matcore.hermitize(-S - S @ dZ @ Zi)
+            ap, ad = steps(dS, dZ)
+            sigma = (np.vdot(S + ap * dS, Z + ad * dZ).real / (d * n * mu)) ** 3
+            C = matcore.hermitize(dS @ dZ @ Zi)
+            dt, dLam, dZ = direction(op(sigma * mu * Zi - C) + t * B - R)
+        except np.linalg.LinAlgError:
+            break  # the Schur complement is singular to working precision
+        dS = matcore.hermitize(sigma * mu * Zi - S - C - S @ dZ @ Zi)
+        ap, ad = steps(dS, dZ)
+        S, t, Lam = S + ap * dS, t + ap * dt, Lam + ad * dLam
+    return AglerReport("unknown", None, gap_estimate=gap, iterations=it,
+                       history=history)
 
 
 def residual_norm(problem: AglerProblem, kernels) -> float:
@@ -350,8 +351,7 @@ def verify_witness(problem: AglerProblem, Lam) -> Tuple[float, List[float]]:
     N, m = problem.conditions, problem.block_dim
     if Lam.shape != (N * m, N * m):
         raise DimensionError(f"witness has shape {Lam.shape}")
-    T = np.array(problem.tuples)
-    dense = np.einsum("ij,ikab->kiajb", np.eye(N), T).reshape(-1, N * m, N * m)
+    dense = _block_diagonals(np.array(problem.tuples))
     W = Lam - dense.conj().swapaxes(1, 2) @ Lam @ dense
     eigs = np.linalg.eigvalsh(matcore.hermitize(W))[:, 0]
     return float(np.trace(Lam @ constraint_rhs(problem)).real), eigs.tolist()

@@ -260,6 +260,71 @@ class TestSolver:
         assert (rep.status == "feasible_with_certificate") \
             == pick.verdict.is_psd
 
+    def test_extremal_fixture_takes_few_newton_steps(self):
+        prob = agler.scalar_problem(FEASIBLE_POINTS, FEASIBLE_VALUES)
+        rep = agler.solve_feasibility(prob, tol=1e-6, max_iter=50)
+        assert rep.status == "feasible_with_certificate"
+        assert rep.iterations <= 50
+
+    def test_zero_tol_on_extremal_data_stops_at_rounding_level(self):
+        # the solution set has no interior, so the duality gap only reaches
+        # rounding level; the solve must stop there, not run to max_iter
+        prob = agler.scalar_problem(FEASIBLE_POINTS, FEASIBLE_VALUES)
+        rep = agler.solve_feasibility(prob, tol=0.0, max_iter=10000,
+                                      keep_history=True)
+        assert rep.status != "infeasible_evidence"
+        assert rep.iterations <= 50
+        assert rep.history[-1] <= 1e-12
+
+    def test_six_point_oracle_product_is_certified(self):
+        # s(z_1) t(z_2), s and t oracle polynomials of norm 0.9, at points
+        # of radius up to 0.8: the N = 6 problem of the sequence N = 1..6
+        # drawn from default_rng(0), easy data that a first-order method
+        # leaves undecided after 10000 iterations
+        rng = np.random.default_rng(0)
+        for N in range(1, 7):
+            pts = 0.8 * rng.uniform(size=(N, 2)) \
+                * np.exp(2j * np.pi * rng.uniform(size=(N, 2)))
+            s, t = (oracle.sample_contractive_poly(1, 1, 2, "disk", seed=rng,
+                                                   target=0.9) for _ in range(2))
+            vals = [oracle.eval_point(s, z1)[0, 0] * oracle.eval_point(t, z2)[0, 0]
+                    for z1, z2 in pts]
+        prob = agler.scalar_problem(pts, vals)
+        rep = agler.solve_feasibility(prob)
+        assert rep.status == "feasible_with_certificate"
+        res, eigs = agler.verify_certificate(prob, rep.certificate.kernels)
+        assert res <= 1e-6 and min(eigs) >= -1e-6
+
+    @pytest.mark.parametrize("N, m", [(3, 2), (6, 2), (2, 3), (3, 3), (4, 3)])
+    def test_operator_data_certificate_and_witness(self, N, m):
+        # Y_i = (X_i S)^L(T_1^(i)) for a disk polynomial S of norm < 1 is
+        # Agler data; Y_i = 1.5 X_i is not
+        rng = np.random.default_rng(7)
+        s = oracle.sample_contractive_poly(2, 2, 2, "disk", seed=7)
+        T, X = [], []
+        for _ in range(N):
+            T.append([contraction(rng, m), contraction(rng, m)])
+            X.append(cg(rng, m, 2))
+        prob = agler.nc_ltoa_problem(
+            T, X, [oracle.eval_ltoa(s, Xi, Ti[0]) for Xi, Ti in zip(X, T)])
+        rep = agler.solve_feasibility(prob)
+        assert rep.status == "feasible_with_certificate"
+        res, eigs = agler.verify_certificate(prob, rep.certificate.kernels)
+        assert res <= 1e-6 and min(eigs) >= -1e-6
+        prob = agler.nc_ltoa_problem(T, X, [1.5 * Xi for Xi in X])
+        rep = agler.solve_feasibility(prob)
+        assert rep.status == "infeasible_evidence"
+        assert_witness(prob, rep.witness)
+        trace, eigs = agler.verify_witness(prob, rep.witness)
+        assert trace < 0 and min(eigs) >= 0
+
+    def test_schur_budget_names_the_schur_complement(self):
+        # N m = 33: (N m)^4 entries exceed the budget although d (N m)^2
+        # is small
+        prob = agler.scalar_problem(0.5 * np.ones((33, 1)), np.zeros(33))
+        with pytest.raises(BudgetError, match="Schur complement"):
+            agler.solve_feasibility(prob)
+
     def test_budget_guard(self):
         rng = np.random.default_rng(6)
         n, N = 8, 13  # 2 * (13 * 8)^2 = 21632 > 20000
