@@ -19,7 +19,7 @@ from picklab import agler, matcore
 # and K_2 = 0.
 problem = agler.scalar_problem([[0.0, 0.0], [0.5, 0.0]], [0.0, 0.5])
 report = agler.solve_feasibility(problem, tol=1e-6)
-print("status:", report.status, "after", report.iterations, "Newton steps")
+print("status:", report.status, "after", report.iterations - 1, "Newton steps")
 print("K_1 ~ ones:", np.round(report.certificate.kernels[0].real, 4).tolist())
 print("K_2 ~ zero:", np.round(report.certificate.kernels[1].real, 4).tolist())
 

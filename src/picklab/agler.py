@@ -22,7 +22,7 @@ from .errors import ArgumentError, BudgetError, DimensionError, DomainError
 from .matcore import as_complex_matrix
 from .reports import basis_columns, stacked_middle
 
-SCHUR_BUDGET = 2 ** 20  # entries of the dense (N m)^2-square Schur complement
+SCHUR_BUDGET = 2 ** 19  # entries: the start's block systems, the Schur complement
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 10000
 _STEP_FRACTION = 0.98  # of the way to the cone boundary, per Newton step
@@ -209,8 +209,10 @@ def solve_feasibility(problem: AglerProblem, tol: float = DEFAULT_TOL,
     averaged with its conjugate under X -> X*, for the predictor and for
     the corrector.  The primal residual R - A(K) is carried in the
     right-hand side, so that rounding and short steps do not leave it
-    behind.  `iterations` counts Newton steps (0 when the start decides);
-    `history` holds the duality gap tr(Lam R) - t of every iterate.
+    behind.  `iterations` counts iterates, the start being the first;
+    `history` holds the duality gap tr(Lam R) - t of each.  BudgetError:
+    the start's arrays, or the Schur complement once a step is due, exceed
+    SCHUR_BUDGET entries.
 
     feasible_with_certificate: the kernels K_k = S_k + t I have PSD
     violation (the 2-norm of their negative eigenvalues) <= tol and residual
@@ -236,10 +238,9 @@ def solve_feasibility(problem: AglerProblem, tol: float = DEFAULT_TOL,
     witness is accepted only when the computed trace is below minus the sum
     of these two terms.
 
-    unknown otherwise: max_iter Newton steps gave neither, the duality gap
-    fell to n^2 eps ||Lam|| ||R||, the rounding level of tr(Lam R), or
-    rounding left no step to take (as with tol = 0 on extremal data, whose
-    solution set has no interior); gap_estimate is the last duality gap.
+    unknown otherwise: max_iter iterates gave neither, the duality gap fell
+    to n^2 eps ||Lam|| ||R||, the rounding level of tr(Lam R), or rounding
+    left no step (tol = 0 on extremal data); gap_estimate is the last gap.
     """
     if not (np.isfinite(tol) and tol >= 0):
         raise ArgumentError(f"tol must be finite and >= 0, got {tol!r}")
@@ -247,9 +248,9 @@ def solve_feasibility(problem: AglerProblem, tol: float = DEFAULT_TOL,
         raise ArgumentError(f"max_iter must be >= 1, got {max_iter!r}")
     N, m, d = problem.conditions, problem.block_dim, problem.d
     n, eps = N * m, np.finfo(float).eps
-    if n ** 4 > SCHUR_BUDGET:
-        raise BudgetError(f"the dense Schur complement, (N m)^2 = {n * n} square, "
-                          f"has more entries than the budget {SCHUR_BUDGET}")
+    if max(N * N * m ** 4, d * n * n) > SCHUR_BUDGET:
+        raise BudgetError("the start's block systems or kernels have more "
+                          f"entries than the budget {SCHUR_BUDGET}")
     R = constraint_rhs(problem)
     T = np.array(problem.tuples)
     Td = _block_diagonals(T)
@@ -269,26 +270,26 @@ def solve_feasibility(problem: AglerProblem, tol: float = DEFAULT_TOL,
     S = np.repeat((K0 - t * I)[None], d, axis=0)
     Lam = I / np.trace(B).real
     history: List[float] = []
-    for it in range(max_iter + 1):
+    for it in range(1, max_iter + 1):
         K, Z = S + t * I, adj(Lam)
         dual = float(np.vdot(Lam, R).real)
         gap = float(dual - t)
         if keep_history:
             history.append(gap)
-        violation = float(np.sqrt(np.sum(
-            np.minimum(np.linalg.eigvalsh(K), 0.0) ** 2)))
+        violation = float(np.linalg.norm(np.minimum(np.linalg.eigvalsh(K), 0.0)))
         residual = float(np.linalg.norm(R - op(K)))
         floor = n * eps * (np.linalg.norm(R) + 2 * np.linalg.norm(K))
         if violation <= tol and residual <= max(tol, floor):
-            cert = AglerCertificate(list(K), residual, it)
-            return AglerReport("feasible_with_certificate", cert,
-                               gap_estimate=gap, iterations=it, history=history)
+            return AglerReport("feasible_with_certificate", AglerCertificate(
+                list(K), residual, it), gap, it, history)
         if dual < 0 and _is_witness(T, Lam, R):
-            return AglerReport("infeasible_evidence", None, gap_estimate=-dual,
-                               iterations=it, history=history, witness=Lam)
+            return AglerReport("infeasible_evidence", None, -dual, it, history, Lam)
         if it == max_iter or gap <= n * n * eps * np.linalg.norm(Lam) \
                 * np.linalg.norm(R):
             break
+        if n ** 4 > SCHUR_BUDGET:
+            raise BudgetError(f"the dense Schur complement, (N m)^2 = {n * n} square,"
+                              f" has more entries than the budget {SCHUR_BUDGET}")
         w, V = np.linalg.eigh(np.concatenate([S, Z]))
         if w[:, 0].min() <= 0:
             break  # rounding has pushed an iterate out of its cone
@@ -325,8 +326,7 @@ def solve_feasibility(problem: AglerProblem, tol: float = DEFAULT_TOL,
         dS = matcore.hermitize(sigma * mu * Zi - S - C - S @ dZ @ Zi)
         ap, ad = steps(dS, dZ)
         S, t, Lam = S + ap * dS, t + ap * dt, Lam + ad * dLam
-    return AglerReport("unknown", None, gap_estimate=gap, iterations=it,
-                       history=history)
+    return AglerReport("unknown", None, gap, it, history)
 
 
 def residual_norm(problem: AglerProblem, kernels) -> float:

@@ -318,12 +318,18 @@ class TestSolver:
         trace, eigs = agler.verify_witness(prob, rep.witness)
         assert trace < 0 and min(eigs) >= 0
 
-    def test_schur_budget_names_the_schur_complement(self):
-        # N m = 33: (N m)^4 entries exceed the budget although d (N m)^2
-        # is small
-        prob = agler.scalar_problem(0.5 * np.ones((33, 1)), np.zeros(33))
+    def test_schur_budget_binds_only_when_a_newton_step_is_due(self):
+        # N m = 27: (N m)^4 entries exceed the budget.  With f = 0 the start
+        # is the PSD Pick kernel and decides; with f_0 = 1.2 it is neither
+        # PSD nor met by a witness, so a Newton step, and its Schur
+        # complement, is due
+        z = 0.5 * np.exp(2j * np.pi * np.arange(27) / 27)[:, None]
+        rep = agler.solve_feasibility(agler.scalar_problem(z, np.zeros(27)))
+        assert (rep.status, rep.iterations) == ("feasible_with_certificate", 1)
+        f = np.zeros(27)
+        f[0] = 1.2
         with pytest.raises(BudgetError, match="Schur complement"):
-            agler.solve_feasibility(prob)
+            agler.solve_feasibility(agler.scalar_problem(z, f))
 
     def test_budget_guard(self):
         rng = np.random.default_rng(6)
