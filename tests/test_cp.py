@@ -4,8 +4,9 @@ import pytest
 from picklab import cp, disk, matcore, oracle
 from picklab import quiver as qv
 from picklab.cp import LinearMapOnMatrices
-from picklab.errors import ArgumentError, MapError
+from picklab.errors import ArgumentError, DimensionError, DomainError, MapError
 from picklab.quiver import Grading, QuiverPoint
+from reference import amplified_apply
 
 
 def cg(rng, *shape):
@@ -86,7 +87,7 @@ class TestCpCheck:
             assert not v.is_cp
             w = v.witness
             assert matcore.min_eigenvalue(w["input"]) >= -1e-14
-            image = cp.amplified_apply(phi, w["input"], w["level"])
+            image = amplified_apply(phi, w["input"], w["level"])
             assert matcore.min_eigenvalue(image) == v.choi_min_eig
             assert w["output_min_eigenvalue"] == v.choi_min_eig
 
@@ -94,7 +95,7 @@ class TestCpCheck:
         rng = np.random.default_rng(2)
         for _ in range(5):
             sizes = rng.integers(1, 3, size=rng.integers(1, 4))
-            psi = cp.conditional_expectation_map(list(sizes))
+            psi = cp.blockwise_conditional_expectation(list(sizes), 1)
             assert cp.cp_check(psi).is_cp
 
     def test_choi_exactness_against_sampling(self):
@@ -108,7 +109,7 @@ class TestCpCheck:
                 k = int(rng.integers(1, n + 1))
                 G = cg(rng, n * k, n * k)
                 B = G @ G.conj().T
-                lam = matcore.min_eigenvalue(cp.amplified_apply(phi_cp, B, k))
+                lam = matcore.min_eigenvalue(amplified_apply(phi_cp, B, k))
                 assert lam >= -1e-8 * matcore.operator_norm(B)
 
 
@@ -235,7 +236,7 @@ class TestPhiQuiver:
                for _ in range(2)]
         X = [cg(rng, 4, 4) for _ in range(2)]
         Y = [cg(rng, 4, 4) for _ in range(2)]
-        phi_q = cp.build_phi_quiver(G, zd, vd, pts, X, Y)
+        phi_q = cp.build_phi_bar_quiver(G, zd, vd, pts, X, Y)
         phi_d = cp.build_phi_disk([p.blocks["l0"] for p in pts], X, Y)
         assert np.max(np.abs(phi_q.unit_images - phi_d.unit_images)) <= 1e-10
 
@@ -285,10 +286,15 @@ class TestPhiQuiver:
                 "alpha": contraction(rng, 1), "beta": contraction(rng, 1)}))
             X.append(cg(rng, 1, 2))
             Y.append(cg(rng, 1, 2))
-        phi = cp.build_phi_quiver(G, zd, vd, pts, X, Y)
         phib = cp.build_phi_bar_quiver(G, zd, vd, pts, X, Y)
-        # the Szego kernel reads only vertex-diagonal blocks, so the two maps
-        # coincide extensionally and the verdicts agree exactly
+        # phi = phi_bar o psi, psi the vertex-block-diagonal compression in
+        # each condition block; the Szego kernel reads only vertex-diagonal
+        # blocks, so the two maps coincide extensionally and the verdicts
+        # agree exactly
+        psi = cp.blockwise_conditional_expectation(
+            [zd[v] for v in G.vertices], copies=len(pts))
+        phi = LinearMapOnMatrices(phib.in_dim, phib.out_dim, np.tensordot(
+            psi.unit_images, phib.unit_images, axes=([2, 3], [0, 1])))
         assert np.max(np.abs(phi.unit_images - phib.unit_images)) == 0.0
         assert cp.cp_check(phi).is_cp == cp.cp_check(phib).is_cp
 
@@ -324,38 +330,16 @@ class TestPhiQuiver:
         assert cp.cp_check(phi, tol=1e-8).is_cp
 
 
-class TestFiniteSections:
-    def test_zero_kernel_cp(self):
-        v = cp.finite_section_kernel_check(
-            lambda i, j, E: np.zeros((2, 2)), [0, 1], 1, sections=2)
-        assert v.is_cp
-
-    def test_szego_type_kernel_cp_at_two_sections(self):
-        s = oracle.sample_contractive_poly(1, 1, 2, "disk", seed=15)
-        lams = [0.1, -0.3 + 0.2j]
-        vals = [oracle.eval_point(s, l)[0, 0] for l in lams]
-
-        def kern(i, j, E):
-            return E * (1 - vals[i] * np.conj(vals[j])) / (
-                1 - lams[i] * np.conj(lams[j]))
-
-        for k in (1, 2):
-            assert cp.finite_section_kernel_check(kern, [0, 1], 1, k).is_cp
-
-    def test_infeasible_pick_kernel_fails_at_one_section(self):
-        lams = [0.0, 0.5]
-        vals = [0.0, 1.0]
-
-        def kern(i, j, E):
-            return E * (1 - vals[i] * np.conj(vals[j])) / (
-                1 - lams[i] * np.conj(lams[j]))
-
-        v = cp.finite_section_kernel_check(kern, [0, 1], 1, sections=1)
-        assert not v.is_cp
-        # the section Choi matrix is exactly the failing Pick matrix
-        assert v.choi_min_eig == pytest.approx((1 - np.sqrt(5)) / 2, abs=1e-12)
-
-
 def test_blockwise_conditional_expectation_is_cp():
     psi = cp.blockwise_conditional_expectation([2, 1], copies=2)
     assert cp.cp_check(psi).is_cp
+
+
+@pytest.mark.parametrize("build", [cp.build_phi_disk, cp.build_phi_star_disk])
+def test_disk_builders_check_points(build):
+    good, X = 0.5 * np.eye(2), [np.eye(2)] * 2
+    # spectral radius exactly 1; the points need not be contractions
+    with pytest.raises(DomainError, match="spectral radius"):
+        build([good, np.array([[1.0, 5.0], [0.0, 0.2]])], X, X)
+    with pytest.raises(DimensionError, match="share one square dimension"):
+        build([good, 0.5 * np.eye(3)], X, X)

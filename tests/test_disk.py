@@ -4,6 +4,7 @@ import pytest
 from picklab import disk, matcore, oracle
 from picklab.errors import ArgumentError, DimensionError, DomainError
 from picklab.reports import basis_columns
+from reference import stein_series
 
 GOLDEN_NEG_EIG = (1 - np.sqrt(5)) / 2
 
@@ -121,7 +122,7 @@ class TestPickLtoaRtoa:
             for i in range(2):
                 for j in range(2):
                     M0 = X[i] @ X[j].conj().T - Y[i] @ Y[j].conj().T
-                    series = matcore.stein_series(T[i], M0, T[j], 200)
+                    series = stein_series(T[i], M0, T[j], 200)
                     blk = rep.pick[off[i]:off[i + 1], off[j]:off[j + 1]]
                     assert np.max(np.abs(blk - series)) <= 1e-10
 
