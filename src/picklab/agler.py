@@ -54,6 +54,8 @@ class AglerProblem:
         if not (len(self.tuples) == len(self.directions) == len(self.targets)):
             raise DimensionError("tuples, directions and targets must align")
         m = self.tuples[0][0].shape[0]
+        if not m:
+            raise DimensionError("tuple entries must be at least 1 x 1")
         for tup in self.tuples:
             if len(tup) != self.d:
                 raise DimensionError("every condition needs one operator per variable")
@@ -171,19 +173,16 @@ def _equal_kernels(T: np.ndarray, R: np.ndarray) -> np.ndarray:
         x.reshape(N, N, m, m).transpose(0, 2, 1, 3).reshape(N * m, N * m))
 
 
-def _is_witness(T: np.ndarray, Lam: np.ndarray, R: np.ndarray) -> bool:
+def _is_witness(Z: np.ndarray, Lam: np.ndarray, R: np.ndarray, rho: float) -> bool:
     """Whether Lam passes the witness check of :func:`solve_feasibility`:
-    every W_k = Lam - T_k* Lam T_k, formed from the condition blocks T,
-    has no negative eigenvalue and tr(Lam R) < -margin."""
+    every Z_k = Lam - T_k* Lam T_k of the iterate has no negative
+    eigenvalue and tr(Lam R) < -margin; rho = max ||T_k^(i)||."""
     n, eps = R.shape[0], np.finfo(float).eps
-    lift = float(np.trace(R).real) / (
-        1.0 - float(np.linalg.norm(T, 2, axis=(-2, -1)).max()) ** 2)
-    W = Lam - np.stack([matcore.sandwich(Tk, Lam, Tk)
-                        for Tk in T.conj().swapaxes(-1, -2).swapaxes(0, 1)])
+    lift = max(float(np.trace(R).real), 0.0) / (1.0 - rho ** 2)
     norm_lam = float(np.linalg.norm(Lam))
-    margin = 4 * n * eps * norm_lam * max(lift, 0.0) \
+    margin = 4 * n * eps * norm_lam * lift \
         + n * n * eps * norm_lam * float(np.linalg.norm(R))
-    return bool(np.linalg.eigvalsh(matcore.hermitize(W))[:, 0].min() >= 0.0
+    return bool(np.linalg.eigvalsh(matcore.hermitize(Z))[:, 0].min() >= 0.0
                 and np.vdot(Lam, R).real < -margin)
 
 
@@ -222,12 +221,13 @@ def solve_feasibility(problem: AglerProblem, tol: float = DEFAULT_TOL,
     For PSD kernels with A(K) = R it would give
     0 > tr(Lam R) = sum_k tr(K_k (Lam - T_k* Lam T_k)) >= 0.  gap_estimate
     is -tr(Lam R), a lower bound on -t*.  Rounding margin (first order in
-    eps, with n for LAPACK's backward-error constant): forming
-    W_k = Lam - T_k* Lam T_k from m-term block products with
-    ||T_k^(i)|| < 1, and eigvalsh's backward error on ||W_k|| <= 2 ||Lam||,
-    each move an eigenvalue of W_k by at most 2 n eps ||Lam||, so a computed
-    least eigenvalue >= 0 leaves the exact one >= -delta,
-    delta = 4 n eps ||Lam||.  Any feasible K has
+    eps, with n for LAPACK's backward-error constant): forming the iterate's
+    Z_k = Lam - T_k* Lam T_k by dense n-square products with the block
+    diagonal T_k, in which a zero term adds exactly, so that each entry is
+    still a sum of m nonzero products with ||T_k^(i)|| < 1, and eigvalsh's
+    backward error on ||Z_k|| <= 2 ||Lam||, each move an eigenvalue of Z_k
+    by at most 2 n eps ||Lam||, so a computed least eigenvalue >= 0 leaves
+    the exact one >= -delta, delta = 4 n eps ||Lam||.  Any feasible K has
     sum_k tr K_k <= tr R / (1 - rho^2), rho = max ||T_k^(i)||, since
     tr R = sum_k tr(K_k (I - T_k* T_k)); so feasibility would force
     tr(Lam R) >= -delta max(tr R, 0) / (1 - rho^2).  The computed trace, an
@@ -252,6 +252,7 @@ def solve_feasibility(problem: AglerProblem, tol: float = DEFAULT_TOL,
     T = np.array(problem.tuples)
     Td = _block_diagonals(T)
     TdH = Td.conj().swapaxes(-1, -2)
+    rho = None  # max ||T_k^(i)||, once per solve, when a witness is first checked
 
     def op(S):  # A on a stack (d, n, n)
         return (S - Td @ S @ TdH).sum(axis=0)
@@ -279,8 +280,11 @@ def solve_feasibility(problem: AglerProblem, tol: float = DEFAULT_TOL,
         if violation <= tol and residual <= max(tol, floor):
             return AglerReport("feasible_with_certificate", AglerCertificate(
                 list(K), residual, it), gap, it, history)
-        if dual < 0 and _is_witness(T, Lam, R):
-            return AglerReport("infeasible_evidence", None, -dual, it, history, Lam)
+        if dual < 0:
+            if rho is None:
+                rho = float(np.linalg.norm(T, 2, axis=(-2, -1)).max())
+            if _is_witness(Z, Lam, R, rho):
+                return AglerReport("infeasible_evidence", None, -dual, it, history, Lam)
         if it == max_iter or gap <= n * n * eps * np.linalg.norm(Lam) \
                 * np.linalg.norm(R):
             break

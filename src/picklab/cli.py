@@ -1,10 +1,14 @@
-"""JSON command-line front end.
+"""JSON command-line front end: one request pipeline per invocation.
 
-One JSON document per invocation on stdout; diagnostics on stderr only.
-Exit codes: 0 feasible, 1 infeasible / verified Farkas witness, 2 unknown
-or budget exceeded, 64 usage error, 65 data error.  `check` and `agler` run
-every setting through one table, setting -> (module, entry point, payload
-fields); each field is decoded by the type the request schema gives it.
+Read, validate, run, envelope, emit.  One reader parses every JSON input
+file and one step checks it against its schema (a failure is a data error
+at its JSON pointer).  `check` and `agler` share one decide path through
+one table, setting -> (module, entry point, payload fields), whose fields
+are decoded by the types the request schema gives them; only the result
+step differs.  Every subcommand returns (document, exit code), and `main`
+prints the one document, error documents included; diagnostics go to
+stderr only.  Exit codes: 0 feasible, 1 infeasible / verified Farkas
+witness, 2 unknown or budget exceeded, 64 usage error, 65 data error.
 """
 
 from __future__ import annotations
@@ -19,8 +23,6 @@ import reprlib
 import sys
 import time
 from importlib import import_module, resources
-
-import numpy as np
 
 from . import config, matcore
 from . import serialize as ser
@@ -188,14 +190,6 @@ def validate_document(doc: dict, schema_name: str) -> None:
     _validate(doc, schema, schema.get("$defs", {}))
 
 
-def _emit(doc: dict) -> None:
-    print(json.dumps(doc, sort_keys=True, allow_nan=False))
-
-
-def _sha256(raw: bytes) -> str:
-    return hashlib.sha256(raw).hexdigest()
-
-
 def _clean_float(x):
     return None if x is None else float(x)
 
@@ -210,25 +204,38 @@ class _DataError(Exception):
         self.path = path
 
 
-def _read_request(input_path: str):
+def _read_json(path: str, what: str, malformed: str = ""):
+    """(document, raw bytes) of the JSON input file at `path`.  A data error
+    at `path` if the file cannot be read ("cannot read {what}") or parsed
+    (`malformed`, by default the same)."""
     try:
-        with open(input_path, "rb") as fh:
+        with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
-        raise _DataError(f"cannot read input: {exc}", input_path)
+        raise _DataError(f"cannot read {what}: {exc}", path)
     try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise _DataError(f"malformed JSON: {exc}", input_path)
+        return json.loads(raw), raw
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on bad bytes
+        raise _DataError(f"{malformed or f'cannot read {what}'}: {exc}", path)
+
+
+def _conform(inst, schema, defs, failure: str, path=()) -> None:
+    """A data error "{failure}: ..." at the JSON pointer of the failing
+    value if `inst`, found at `path`, fails `schema`."""
+    try:
+        _validate(inst, schema, defs, path)
+    except ValidationError as exc:
+        raise _DataError(f"{failure}: {exc}", exc.path)
+
+
+def _read_request(path: str):
+    doc, raw = _read_json(path, "input", "malformed JSON")
     if not isinstance(doc, dict) or "setting" not in doc:
-        raise _DataError("request must be an object with a 'setting' field",
-                         input_path)
+        raise _DataError("request must be an object with a 'setting' field", path)
     if isinstance(doc["setting"], str) and doc["setting"] not in _SETTINGS:
         raise _Usage(f"unknown setting {doc['setting']!r}")
-    try:
-        validate_document(doc, "request.schema.json")
-    except ValidationError as exc:
-        raise _DataError(f"request does not validate: {exc}", exc.path)
+    schema = _schema("request.schema.json")
+    _conform(doc, schema, schema["$defs"], "request does not validate")
     return doc, raw
 
 
@@ -243,10 +250,8 @@ def _options(doc: dict, args) -> dict:
         if value is not None and value is not False:
             opts[name] = value
     schema = _schema("request.schema.json")
-    try:
-        _validate(opts, schema["properties"]["options"], schema["$defs"], ("options",))
-    except ValidationError as exc:
-        raise _DataError(f"options do not validate: {exc}", exc.path)
+    _conform(opts, schema["properties"]["options"], schema["$defs"],
+             "options do not validate", ("options",))
     for name, value in opts.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise _DataError(f"options do not validate: {value!r} is not a "
@@ -348,26 +353,9 @@ def _call(setting: str, payload: dict, opts: dict):
     return entry(*args, **kwargs)
 
 
-def _envelope(setting, opts, raw, verdict, **fields) -> dict:
-    """The fields every check/agler report shares, updated with `fields`."""
-    doc = {"schema_version": _REPORT_VERSION, "setting": setting,
-           "verdict": verdict, "min_eigenvalue": None, "gap_estimate": None,
-           "tail_bound": 0.0, "provenance": {"input_sha256": _sha256(raw)},
-           "options": opts}
-    doc.update(fields)
-    return doc
-
-
 _VERDICT_EXIT = {"feasible": EXIT_FEASIBLE, "infeasible": EXIT_INFEASIBLE,
                  "feasible_with_certificate": EXIT_FEASIBLE,
                  "infeasible_evidence": EXIT_INFEASIBLE}
-
-
-def _finish(report: dict, started: float) -> int:
-    """Stamp the timing, emit the report and return its verdict's exit code."""
-    report["timings_ms"] = 1000 * (time.monotonic() - started)
-    _emit(report)
-    return _VERDICT_EXIT.get(report["verdict"], EXIT_UNKNOWN)
 
 
 def _error(exc, code: str) -> dict:
@@ -379,69 +367,40 @@ def _error(exc, code: str) -> dict:
     return error
 
 
-def _budget_report(exc, setting, opts, raw) -> dict:
-    return _envelope(setting, opts, raw, "unknown", error=_error(exc, "budget"))
-
-
-def _check_report(result, setting, opts, raw, emit_pick) -> dict:
-    """Report on one FeasibilityReport, or on the per-vertex family of
-    quiver.qltt (feasible iff every vertex is; the worst vertex speaks)."""
+def _check_fields(result, opts, args):
+    """Verdict and report fields of one FeasibilityReport, or of the
+    per-vertex family of quiver.qltt (feasible iff every vertex is; the
+    worst vertex speaks)."""
     reps = result if isinstance(result, dict) else {None: result}
     worst = min(reps.values(), key=lambda r: r.min_eigenvalue)
-    doc = _envelope(
-        setting, opts, raw,
-        "feasible" if all(r.feasible for r in reps.values()) else "infeasible",
-        min_eigenvalue=_clean_float(worst.min_eigenvalue),
-        tail_bound=float(max(r.tail_bound for r in reps.values())),
-        tolerance_used=float(worst.verdict.tolerance_used),
-        method=worst.method)
+    fields = {"min_eigenvalue": _clean_float(worst.min_eigenvalue),
+              "tail_bound": float(max(r.tail_bound for r in reps.values())),
+              "tolerance_used": float(worst.verdict.tolerance_used),
+              "method": worst.method}
     if isinstance(result, dict):
-        doc["vertex_verdicts"] = {
+        fields["vertex_verdicts"] = {
             v: {"feasible": r.verdict.is_psd,
                 "min_eigenvalue": _clean_float(r.min_eigenvalue),
                 "tail_bound": float(r.tail_bound)}
             for v, r in result.items()}
-    elif emit_pick:
-        doc["pick_matrix"] = ser.matrix_to_json(result.pick)
-    return doc
+    elif args.emit_pick:
+        fields["pick_matrix"] = ser.matrix_to_json(result.pick)
+    return ("feasible" if all(r.feasible for r in reps.values()) else "infeasible",
+            fields)
 
 
-def cmd_check(args) -> int:
-    started = time.monotonic()
-    doc, raw = _read_request(args.input)
-    setting = doc["setting"]
-    if setting.startswith("polydisk."):
-        raise _Usage("polydisk settings are handled by the 'agler' subcommand")
-    opts = _options(doc, args)
-    try:
-        result = _call(setting, doc["payload"], opts)
-    except BudgetError as exc:
-        return _finish(_budget_report(exc, setting, opts, raw), started)
-    return _finish(_check_report(result, setting, opts, raw, args.emit_pick),
-                   started)
+def _agler_fields(problem, opts, args):
+    """Verdict and report fields of the Agler solve of `problem`; a
+    certificate goes to --emit-certificate and, with --embed-certificate,
+    into the report."""
+    from . import agler
 
-
-def cmd_agler(args) -> int:
-    from . import agler as agler_mod
-
-    started = time.monotonic()
-    doc, raw = _read_request(args.input)
-    setting = doc["setting"]
-    if not setting.startswith("polydisk."):
-        raise _Usage(f"setting {setting!r} is not an Agler problem")
-    opts = _options(doc, args)
-    tol = agler_mod.DEFAULT_TOL if opts["tol"] == "auto" else float(opts["tol"])
-    max_iter = int(opts.get("max_iter", agler_mod.DEFAULT_MAX_ITER))
-    problem = _call(setting, doc["payload"], opts)
-    try:
-        rep = agler_mod.solve_feasibility(problem, tol=tol, max_iter=max_iter)
-    except BudgetError as exc:
-        return _finish(_budget_report(exc, setting, opts, raw), started)
-    report = _envelope(setting, opts, raw, rep.status,
-                       gap_estimate=_clean_float(rep.gap_estimate),
-                       iterations=rep.iterations)
+    tol = agler.DEFAULT_TOL if opts["tol"] == "auto" else float(opts["tol"])
+    max_iter = int(opts.get("max_iter", agler.DEFAULT_MAX_ITER))
+    rep = agler.solve_feasibility(problem, tol=tol, max_iter=max_iter)
+    fields = {"gap_estimate": _clean_float(rep.gap_estimate),
+              "iterations": rep.iterations}
     if rep.certificate is not None:
-        report["residual_norm"] = float(rep.certificate.residual_norm)
         cert_doc = {
             "kernels": [ser.matrix_to_json(K) for K in rep.certificate.kernels],
             "residual_norm": float(rep.certificate.residual_norm),
@@ -450,32 +409,56 @@ def cmd_agler(args) -> int:
         if args.emit_certificate:
             with open(args.emit_certificate, "w") as fh:
                 json.dump(cert_doc, fh, sort_keys=True)
-        report["certificate"] = cert_doc if args.embed_certificate else None
-    return _finish(report, started)
+        fields["residual_norm"] = cert_doc["residual_norm"]
+        fields["certificate"] = cert_doc if args.embed_certificate else None
+    return rep.status, fields
+
+
+# subcommand -> the result step of its decide path
+_RESULTS = {"check": _check_fields, "agler": _agler_fields}
+
+
+def cmd_decide(args):
+    """`check` and `agler`: read the request, require the subcommand of its
+    setting's family (polydisk settings are Agler problems), merge the
+    options, run the entry point and the subcommand's result step, and wrap
+    the verdict, "unknown" with a "budget" error on BudgetError, in the report."""
+    started = time.monotonic()
+    doc, raw = _read_request(args.input)
+    setting = doc["setting"]
+    family = "agler" if setting.startswith("polydisk.") else "check"
+    if args.command != family:
+        raise _Usage(f"setting {setting!r} is handled by the '{family}' subcommand")
+    opts = _options(doc, args)
+    try:
+        verdict, fields = _RESULTS[family](_call(setting, doc["payload"], opts),
+                                           opts, args)
+    except BudgetError as exc:
+        verdict, fields = "unknown", {"error": _error(exc, "budget")}
+    report = {"schema_version": _REPORT_VERSION, "setting": setting,
+              "verdict": verdict, "min_eigenvalue": None, "gap_estimate": None,
+              "tail_bound": 0.0,
+              "provenance": {"input_sha256": hashlib.sha256(raw).hexdigest()},
+              "options": opts, **fields}
+    report["timings_ms"] = 1000 * (time.monotonic() - started)
+    return report, _VERDICT_EXIT.get(verdict, EXIT_UNKNOWN)
 
 
 def _read_quiver_file(path: str) -> dict:
     """A `sample --quiver-file` document: the request schema's quiver, with
     the `in_dims` and `out_dims` gradings in place of `dims`."""
-    try:
-        with open(path) as fh:
-            spec = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise _DataError(f"cannot read quiver file: {exc}", path)
+    spec, _ = _read_json(path, "quiver file")
     defs = _schema("request.schema.json")["$defs"]
     quiver = defs["quiver"]
     schema = {**quiver, "required": ["vertices", "arrows", "in_dims", "out_dims"],
               "properties": {**quiver["properties"],
                              "in_dims": quiver["properties"]["dims"],
                              "out_dims": quiver["properties"]["dims"]}}
-    try:
-        _validate(spec, schema, defs)
-    except ValidationError as exc:
-        raise _DataError(f"quiver file does not validate: {exc}", exc.path)
+    _conform(spec, schema, defs, "quiver file does not validate")
     return spec
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args):
     from . import oracle
 
     kind, seed = args.kind, args.seed
@@ -502,15 +485,13 @@ def cmd_sample(args) -> int:
         raise _Usage(f"unknown sample kind {kind!r}")
     doc = ser.sample_to_json(sample)
     validate_document(doc, "sample.schema.json")
-    text = json.dumps(doc, sort_keys=True)
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
-    return EXIT_FEASIBLE
+            fh.write(json.dumps(doc, sort_keys=True) + "\n")
+    return doc, EXIT_FEASIBLE
 
 
-def cmd_necessity(args) -> int:
+def cmd_necessity(args):
     from . import necessity
 
     if args.setting not in necessity.SETTINGS:
@@ -530,42 +511,42 @@ def cmd_necessity(args) -> int:
         "passed": res.passed,
         "timings_ms": 1000 * (time.monotonic() - started),
     }
-    _emit(doc)
-    return EXIT_FEASIBLE if res.passed else EXIT_INFEASIBLE
+    return doc, EXIT_FEASIBLE if res.passed else EXIT_INFEASIBLE
 
 
 def _read_map(path: str):
+    """A `choi`/`cpcheck` map.  Past the schema, `unit_images` must be n x n
+    images of size m x m (n = in_dim, m = out_dim); the shallowest wrong
+    level, `/unit_images`, `/unit_images/i` or image `/unit_images/i/j`
+    with its rows, is a data error at its JSON pointer."""
     from . import cp
 
-    try:
-        with open(path, "rb") as fh:
-            doc = json.loads(fh.read())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise _DataError(f"cannot read map: {exc}", path)
-    try:
-        validate_document(doc, "map.schema.json")
-    except ValidationError as exc:
-        raise _DataError(f"map does not validate: {exc}", exc.path)
-    n, m = doc["in_dim"], doc["out_dim"]
-    images = np.zeros((n, n, m, m), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            images[i, j] = ser.matrix_from_json(doc["unit_images"][i][j])
-    return cp.LinearMapOnMatrices(n, m, images)
+    doc, _ = _read_json(path, "map")
+    schema = _schema("map.schema.json")
+    _conform(doc, schema, schema.get("$defs", {}), "map does not validate")
+    n, m, images = int(doc["in_dim"]), int(doc["out_dim"]), doc["unit_images"]
+    wrong = (["/unit_images"] if len(images) != n else []) \
+        + [f"/unit_images/{i}" for i, row in enumerate(images) if len(row) != n] \
+        + [f"/unit_images/{i}/{j}" for i, row in enumerate(images)
+           for j, image in enumerate(row)
+           if len(image) != m or any(len(r) != m for r in image)]
+    if wrong:
+        raise _DataError(f"map does not validate: unit_images must be {n} x {n} "
+                         f"images of size {m} x {m}", wrong[0])
+    return cp.LinearMapOnMatrices(
+        n, m, [[ser.matrix_from_json(image) for image in row] for row in images])
 
 
-def cmd_choi(args) -> int:
+def cmd_choi(args):
     from . import cp
 
-    phi = _read_map(args.input)
-    C = cp.choi_matrix(phi)
-    _emit({"schema_version": _REPORT_VERSION,
-           "choi_matrix": ser.matrix_to_json(C),
-           "min_eigenvalue": matcore.min_eigenvalue(C)})
-    return EXIT_FEASIBLE
+    C = cp.choi_matrix(_read_map(args.input))
+    return ({"schema_version": _REPORT_VERSION,
+             "choi_matrix": ser.matrix_to_json(C),
+             "min_eigenvalue": matcore.min_eigenvalue(C)}, EXIT_FEASIBLE)
 
 
-def cmd_cpcheck(args) -> int:
+def cmd_cpcheck(args):
     from . import cp
 
     phi = _read_map(args.input)
@@ -580,8 +561,7 @@ def cmd_cpcheck(args) -> int:
             "output_min_eigenvalue": float(
                 verdict.witness["output_min_eigenvalue"]),
         }
-    _emit(doc)
-    return EXIT_FEASIBLE if verdict.is_cp else EXIT_INFEASIBLE
+    return doc, EXIT_FEASIBLE if verdict.is_cp else EXIT_INFEASIBLE
 
 
 def _tol_arg(value: str):
@@ -597,27 +577,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="run a Pick-matrix criterion")
-    p_check.add_argument("input", help="request JSON path")
-    p_check.add_argument("--tol", type=_tol_arg, default=None)
+    p_agler = sub.add_parser("agler", help="Agler decomposition feasibility")
+    for p in (p_check, p_agler):
+        p.add_argument("input", help="request JSON path")
+        p.add_argument("--tol", type=_tol_arg, default=None)
+        p.add_argument("--seed", type=int, default=None)
+        p.set_defaults(func=cmd_decide)
     p_check.add_argument("--max-level", dest="max_level", type=int, default=None)
-    p_check.add_argument("--seed", type=int, default=None)
     p_check.add_argument("--literal-unweighted", dest="literal_unweighted",
                          action="store_true")
     p_check.add_argument("--emit-pick", dest="emit_pick", action="store_true",
                          help="embed the Pick matrix in the report")
-    p_check.set_defaults(func=cmd_check)
-
-    p_agler = sub.add_parser("agler", help="Agler decomposition feasibility")
-    p_agler.add_argument("input")
-    p_agler.add_argument("--tol", type=_tol_arg, default=None)
     p_agler.add_argument("--max-iter", dest="max_iter", type=int, default=None)
-    p_agler.add_argument("--seed", type=int, default=None)
     p_agler.add_argument("--emit-certificate", dest="emit_certificate",
                          default=None, help="write certificate JSON to this path")
     p_agler.add_argument("--embed-certificate", dest="embed_certificate",
                          action="store_true",
                          help="embed the certificate in the report")
-    p_agler.set_defaults(func=cmd_agler)
 
     p_sample = sub.add_parser("sample", help="emit a certified Schur sample")
     p_sample.add_argument("--kind", required=True,
@@ -663,11 +639,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        doc, status = args.func(args)
     except (_Usage, _DataError, PicklabError) as exc:
         code, status = _ERROR_CODES.get(type(exc), (type(exc).__name__, EXIT_DATA))
-        print(json.dumps({"error": _error(exc, code)}, sort_keys=True))
-        return status
+        doc = {"error": _error(exc, code)}
+    print(json.dumps(doc, sort_keys=True, allow_nan=False))
+    return status
 
 
 if __name__ == "__main__":

@@ -40,6 +40,8 @@ class LinearMapOnMatrices:
     def __post_init__(self):
         arr = np.asarray(self.unit_images, dtype=np.complex128)
         n, m = self.in_dim, self.out_dim
+        if n < 1 or m < 1:
+            raise DimensionError(f"dimensions must be at least 1, got {n} and {m}")
         if arr.shape != (n, n, m, m):
             raise DimensionError(
                 f"unit image array has shape {arr.shape}, expected {(n, n, m, m)}")
@@ -69,12 +71,13 @@ class LinearMapOnMatrices:
                 f"argument has shape {A.shape}, expected square of {self.in_dim}")
         return np.tensordot(A, self.unit_images, axes=([0, 1], [0, 1]))
 
-    def preserves_adjoints(self, atol: float = 1e-12) -> bool:
-        """phi(A*) == phi(A)* for all A, checked on the matrix units."""
+    def preserves_adjoints(self) -> bool:
+        """phi(A*) == phi(A)* for all A, checked on the matrix units to
+        1e-12 of their largest modulus (at least 1)."""
         U = self.unit_images
         scale = max(float(np.max(np.abs(U))), 1.0)
         return np.allclose(U, U.conj().transpose(1, 0, 3, 2), rtol=0.0,
-                           atol=atol * scale)
+                           atol=1e-12 * scale)
 
 
 @dataclass(frozen=True)
@@ -206,8 +209,7 @@ def _condition_blockwise_map(stacked, N: int, n: int, m: int) -> LinearMapOnMatr
 
 
 def build_phi_bar_quiver(G: Quiver, zdims: Grading, vdims: Grading,
-                         operator_points, directions, targets,
-                         series_tol: float = 1e-13) -> LinearMapOnMatrices:
+                         operator_points, directions, targets) -> LinearMapOnMatrices:
     """Szego-kernel CP-test map, extended from block-diagonal to all of L(G-space).
 
     phi_bar([B_ij]) = [X_i K(Z_i, Z_j)[psi(B_ij)] X_j* - Y_i (...) Y_j*] with
@@ -215,10 +217,10 @@ def build_phi_bar_quiver(G: Quiver, zdims: Grading, vdims: Grading,
     The Choi matrix permutes into the direct sum over vertices of the
     tensor-calculus quiver Pick matrices, so the map embeds the vertex
     matrices of :func:`picklab.quiver.pick_qltt` (with its checks, errors
-    and work budget).
+    and work budget), summed to series tolerance 1e-13.
     """
     picks = quiver_mod.pick_qltt(G, zdims, vdims, operator_points, directions,
-                                 targets, series_tol=series_tol)
+                                 targets, series_tol=1e-13)
     N, gdim = len(operator_points), zdims.total
     c = as_complex_matrix(directions[0]).shape[0]
     # the Szego kernel only reads diagonal blocks: cross-vertex units map to 0

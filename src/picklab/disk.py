@@ -42,6 +42,8 @@ def _check_strict_ops(points, what="operator point") -> list[np.ndarray]:
     for P in mats:
         if P.shape[0] != P.shape[1]:
             raise DimensionError(f"{what} must be square, got {P.shape}")
+        if not P.size:
+            raise DimensionError(f"{what} must be at least 1 x 1")
         r = matcore.spectral_radius(P)
         if r >= 1.0:
             raise DomainError(f"{what} has spectral radius {r:.6g} >= 1")
@@ -128,6 +130,8 @@ def nevanlinna_rd_check(operator_point, value, basis_dim=None, tol="auto"):
     W = as_complex_matrix(value)
     if Z.shape != W.shape or Z.shape[0] != Z.shape[1]:
         raise DimensionError("Z and W must be square with equal shapes")
+    if not Z.size:
+        raise DimensionError("Z and W must be at least 1 x 1")
     if basis_dim == 0:
         raise ArgumentError("basis dimension must be positive")
     kappa = basis_dim or Z.shape[0]

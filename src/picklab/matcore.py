@@ -287,6 +287,8 @@ def solve_lyapunov_rhp(Z, Q):
     (the exact solution is).
     """
     Z = _require_square(as_complex_matrix(Z), "Z")
+    if not Z.size:
+        raise DimensionError("Z must be at least 1 x 1")
     stacked = np.ndim(Q) == 3
     Qs = (np.asarray(Q, dtype=np.complex128) if stacked
           else as_complex_matrix(Q)[None])

@@ -33,7 +33,7 @@ import numpy as np
 from . import ball as ball_mod
 from . import matcore
 from . import quiver as quiver_mod
-from .errors import ArgumentError, DomainError, ShapeError
+from .errors import ArgumentError, DimensionError, DomainError, ShapeError
 from .matcore import as_complex_matrix
 from .quiver import Grading, Quiver
 
@@ -87,7 +87,8 @@ def disk_sup_norm_bound(coefficients: Dict[int, np.ndarray], grid: int = 4096) -
     1e-3 relative at the default grid.
 
     Keys must be integers in [0, grid) (ArgumentError), and every
-    coefficient must have the same shape (ShapeError).
+    coefficient must have the same shape (ShapeError), at least 1 x 1
+    (DimensionError).
     """
     if not coefficients:
         return 0.0
@@ -102,6 +103,8 @@ def disk_sup_norm_bound(coefficients: Dict[int, np.ndarray], grid: int = 4096) -
         raise ShapeError(f"coefficients must share one shape, got {sorted(shapes)}")
     stack = np.stack(stack)
     _, p, q = stack.shape
+    if not p * q:
+        raise DimensionError(f"coefficients must be at least 1 x 1, got {p} x {q}")
     padded = np.zeros((p, q, grid), dtype=np.complex128)
     padded[:, :, ns] = stack.transpose(1, 2, 0)
     vals = np.fft.fft(padded, axis=-1)
@@ -153,8 +156,8 @@ def _blaschke_coefficients(zeros, c, length):
     return series
 
 
-def sample_blaschke(degree: int, seed, order: int = _BLASCHKE_ORDER) -> SchurSample:
-    """Random finite Blaschke product, truncated to `order` Taylor terms.
+def sample_blaschke(degree: int, seed) -> SchurSample:
+    """Random finite Blaschke product, truncated after degree _BLASCHKE_ORDER.
 
     Zeros satisfy |a_k| <= 0.9 and the front factor |c| lies in [0.9, 0.99],
     so the true multiplier norm is exactly |c| and the stored truncation
@@ -167,21 +170,22 @@ def sample_blaschke(degree: int, seed, order: int = _BLASCHKE_ORDER) -> SchurSam
     angles = rng.uniform(0, 2 * np.pi, size=degree)
     zeros = radii * np.exp(1j * angles)
     c = rng.uniform(0.9, 0.99) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-    return blaschke_from_zeros(zeros, c, order)
+    return blaschke_from_zeros(zeros, c)
 
 
-def blaschke_from_zeros(zeros, c, order: int = _BLASCHKE_ORDER) -> SchurSample:
-    """Blaschke product with explicit zeros and front factor (|c| <= 1)."""
+def blaschke_from_zeros(zeros, c) -> SchurSample:
+    """Blaschke product with explicit zeros and front factor (|c| <= 1),
+    truncated after degree _BLASCHKE_ORDER."""
     zeros = np.asarray(zeros, dtype=np.complex128).reshape(-1)
     if np.any(np.abs(zeros) > 0.9):
         raise DomainError("Blaschke zeros must satisfy |a| <= 0.9")
     if abs(c) > 1.0:
         raise DomainError("front factor must satisfy |c| <= 1")
     full = _blaschke_coefficients(zeros, c, _BLASCHKE_INTERNAL)
-    tail = float(np.sum(np.abs(full[order + 1:])))
+    tail = float(np.sum(np.abs(full[_BLASCHKE_ORDER + 1:])))
     # remainder beyond the internal window: |b_n| <~ 0.9^n, utterly negligible
     tail += 1e-40
-    coeffs = {n: np.array([[full[n]]]) for n in range(order + 1)}
+    coeffs = {n: np.array([[full[n]]]) for n in range(_BLASCHKE_ORDER + 1)}
     return SchurSample(
         setting="disk", coefficients=coeffs, norm_bound=min(abs(c), 1.0),
         tail_bound=tail, scale=1.0, shape=(1, 1))

@@ -12,6 +12,9 @@ from picklab import agler, ball, cli, disk, quiver, serialize
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
+_C, _ONE = [1.0, 0.0], [[[1.0, 0.0]]]  # a complex scalar, a 1 x 1 matrix
+
+
 def run_cli(argv, capsys):
     code = cli.main(argv)
     out = capsys.readouterr().out.strip()
@@ -47,6 +50,20 @@ class TestExitCodes:
         assert code == 65
         assert doc["error"]["code"] == "data"
         assert "message" in doc["error"] and "path" in doc["error"]
+
+    # one case per reader: request, map, quiver file
+    @pytest.mark.parametrize("argv", [["check"], ["choi"],
+                                      ["sample", "--kind", "quiver.poly", "--degree",
+                                       "1", "--quiver-file"]], ids="_".join)
+    def test_undecodable_bytes_are_data_error(self, argv, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        p.write_bytes(b"\xff\xfe\xfd")
+        code = cli.main(argv + [str(p)])
+        captured = capsys.readouterr()
+        assert code == 65
+        error = json.loads(captured.out)["error"]
+        assert (error["code"], error["path"]) == ("data", str(p))
+        assert captured.err == ""
 
     def test_invalid_payload_is_data_error(self, tmp_path, capsys):
         p = tmp_path / "req.json"
@@ -113,6 +130,28 @@ class TestExitCodes:
             assert code == 65
             assert out["error"]["code"] == "data"
             assert out["error"]["path"] == "/in_dim"
+
+    @pytest.mark.parametrize("in_dim, out_dim, images, path", [
+        (2, 1, [[_ONE, _ONE]], "/unit_images"),
+        (2, 1, [[_ONE, _ONE], [_ONE]], "/unit_images/1"),
+        # the shallowest level speaks: row 0's image is too wide, row 1 short
+        (2, 1, [[[[_C, _C]], _ONE], [_ONE]], "/unit_images/1"),
+        # a 1 x 1 image, or two rows of width 1, in a 2 x 2 slot
+        (1, 2, [[_ONE]], "/unit_images/0/0"),
+        (1, 2, [[[[_C], [_C]]]], "/unit_images/0/0"),
+    ])
+    def test_map_of_wrong_shape_reports_its_path(self, in_dim, out_dim, images,
+                                                 path, tmp_path, capsys):
+        p = tmp_path / "map.json"
+        p.write_text(json.dumps({"schema_version": "1", "in_dim": in_dim,
+                                 "out_dim": out_dim, "unit_images": images}))
+        for cmd in ("choi", "cpcheck"):
+            code = cli.main([cmd, str(p)])
+            captured = capsys.readouterr()
+            assert code == 65
+            error = json.loads(captured.out)["error"]
+            assert (error["code"], error["path"]) == ("data", path)
+            assert captured.err == ""
 
     @pytest.mark.parametrize("argv", [
         ["sample", "--kind", "disk.poly", "--degree", "2", "--rows", "0"],
@@ -266,6 +305,35 @@ class TestExitCodes:
         code, doc = run_cli(["check", str(FIXTURES / "agler_bidisk_feasible.json")],
                             capsys)
         assert code == 64
+        assert doc["error"]["message"] == ("setting 'polydisk.agler_scalar' is "
+                                           "handled by the 'agler' subcommand")
+
+    @pytest.mark.parametrize("fixture, setting", [
+        ("disk_fov_feasible.json", "disk.fov"),
+        ("quiver_qltoa_two_vertex.json", "quiver.qltoa"),
+    ])
+    def test_non_polydisk_under_agler_is_usage(self, fixture, setting, capsys):
+        code, doc = run_cli(["agler", str(FIXTURES / fixture)], capsys)
+        assert code == 64
+        assert doc["error"]["code"] == "usage"
+        assert doc["error"]["message"] == (f"setting {setting!r} is handled by "
+                                           f"the 'check' subcommand")
+
+    def test_agler_over_the_schur_budget_is_unknown(self, tmp_path, capsys):
+        # d = 2 and N = 513 scalar points: the start's kernels would hold
+        # 2 N^2 entries, more than the budget
+        N = 513
+        assert 2 * N * N > agler.SCHUR_BUDGET
+        p = tmp_path / "req.json"
+        p.write_text(json.dumps({
+            "schema_version": "1", "setting": "polydisk.agler_scalar",
+            "payload": {"points": [[[0.1, 0.0], [0.0, 0.2]]] * N,
+                        "values": [[0.0, 0.0]] * N}}))
+        code, doc = run_cli(["agler", str(p)], capsys)
+        assert code == 2
+        assert doc["verdict"] == "unknown"
+        assert doc["error"]["code"] == "budget"
+        cli.validate_document(doc, "report.schema.json")
 
     def test_bad_flag_is_usage(self, capsys):
         code = cli.main(["check", "--no-such-flag", "x.json"])

@@ -5,6 +5,8 @@ module calls the Stein doubling or the level recursion.  And the package
 keeps only what the system runs: every public function, class and method
 has a caller in picklab or in perfbench/, or is documented API named in
 README.md.  Test oracles live in tests/reference.py, not in the package.
+And the CLI is one request pipeline: one reader parses every JSON input
+file and main alone writes stdout.
 """
 
 import ast
@@ -104,3 +106,12 @@ def test_documented_api_is_defined_and_in_readme():
     assert DOCUMENTED_API <= {f"{m}.{q}" for m, q, _ in _public_defs()}
     for dotted in DOCUMENTED_API:
         assert f"`{dotted}`" in readme, dotted
+
+
+def test_cli_reads_input_and_writes_stdout_in_one_place():
+    calls = [ast.unparse(node.func)
+             for node in ast.walk(ast.parse((SRC / "cli.py").read_text()))
+             if isinstance(node, ast.Call)]
+    # json.load reads the packaged schemas, json.loads every input file
+    assert (calls.count("print"), calls.count("json.loads"),
+            calls.count("json.load")) == (1, 1, 1)

@@ -1,13 +1,14 @@
 """The closed-form Pick builder reports.kernel_report and the criteria that
 only assemble data for it: disk FOV/LT/RT, Drury-Arveson FOV/LT and the
 constant-multiplier test; the batched block norms that plan the fixed
-point's level sums; and empty input and a zero basis dimension to the
-fixed-point criteria and CP maps."""
+point's level sums; and empty input, zero-dimensional blocks and a zero
+basis dimension to the fixed-point criteria, CP maps and other public
+calls."""
 
 import numpy as np
 import pytest
 
-from picklab import agler, ball, cp, disk, matcore, reports
+from picklab import agler, ball, cp, disk, matcore, oracle, reports
 from picklab import quiver as qv
 from picklab.errors import ArgumentError, DimensionError, DomainError, ShapeError
 from picklab.quiver import Grading
@@ -113,6 +114,24 @@ EMPTY_INPUT = [
 def test_empty_input_errors(fn, args, error):
     with pytest.raises(error):
         fn(*args)
+
+
+Z0 = np.zeros((0, 0))
+ZERO_DIMENSIONAL = {
+    "agler.solve_feasibility": lambda: agler.solve_feasibility(agler.nc_ltoa_problem(
+        [[Z0]], [np.zeros((0, 1))], [np.zeros((0, 1))])),
+    "disk.nevanlinna_rd_check": lambda: disk.nevanlinna_rd_check(Z0, Z0),
+    "matcore.solve_lyapunov_rhp": lambda: matcore.solve_lyapunov_rhp(Z0, Z0),
+    "cp.build_phi_disk": lambda: cp.build_phi_disk([Z0], [Z0], [Z0]),
+    "cp.cp_check": lambda: cp.cp_check(cp.LinearMapOnMatrices(0, 0, np.zeros((0,) * 4))),
+    "oracle.disk_sup_norm_bound": lambda: oracle.disk_sup_norm_bound({0: Z0}),
+}
+
+
+@pytest.mark.parametrize("call", ZERO_DIMENSIONAL.values(), ids=ZERO_DIMENSIONAL)
+def test_zero_dimensional_blocks_are_dimension_errors(call):
+    with pytest.raises(DimensionError):
+        call()
 
 
 Z2 = np.zeros((2, 2))
