@@ -2,13 +2,15 @@
 
 Read, validate, run, envelope, emit.  One reader parses every JSON input
 file and one step checks it against its schema (a failure is a data error
-at its JSON pointer).  `check` and `agler` share one decide path through
-one table, setting -> (module, entry point, payload fields), whose fields
-are decoded by the types the request schema gives them; only the result
-step differs.  Every subcommand returns (document, exit code), and `main`
-prints the one document, error documents included; diagnostics go to
-stderr only.  Exit codes: 0 feasible, 1 infeasible / verified Farkas
-witness, 2 unknown or budget exceeded, 64 usage error, 65 data error.
+at its JSON pointer); one writer writes every output file (--out,
+--emit-certificate), and a path it cannot write is a data error too.
+`check` and `agler` share one decide path through one table, setting ->
+(module, entry point, payload fields), whose fields are decoded by the
+types the request schema gives them; only the result step differs.  Every
+subcommand returns (document, exit code), and `main` prints the one
+document, error documents included; diagnostics go to stderr only.  Exit
+codes: 0 feasible, 1 infeasible / verified Farkas witness, 2 unknown or
+budget exceeded, 64 usage error, 65 data error.
 """
 
 from __future__ import annotations
@@ -219,6 +221,16 @@ def _read_json(path: str, what: str, malformed: str = ""):
         raise _DataError(f"{malformed or f'cannot read {what}'}: {exc}", path)
 
 
+def _write_json(path: str, doc, what: str) -> None:
+    """Write `doc` as one line of sorted-key JSON to `path`; a data error at
+    `path` ("cannot write {what}") if the file cannot be written."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(json.dumps(doc, sort_keys=True) + "\n")
+    except OSError as exc:
+        raise _DataError(f"cannot write {what}: {exc}", path)
+
+
 def _conform(inst, schema, defs, failure: str, path=()) -> None:
     """A data error "{failure}: ..." at the JSON pointer of the failing
     value if `inst`, found at `path`, fails `schema`."""
@@ -407,8 +419,7 @@ def _agler_fields(problem, opts, args):
             "iterations": rep.certificate.iterations,
         }
         if args.emit_certificate:
-            with open(args.emit_certificate, "w") as fh:
-                json.dump(cert_doc, fh, sort_keys=True)
+            _write_json(args.emit_certificate, cert_doc, "certificate")
         fields["residual_norm"] = cert_doc["residual_norm"]
         fields["certificate"] = cert_doc if args.embed_certificate else None
     return rep.status, fields
@@ -486,8 +497,7 @@ def cmd_sample(args):
     doc = ser.sample_to_json(sample)
     validate_document(doc, "sample.schema.json")
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(json.dumps(doc, sort_keys=True) + "\n")
+        _write_json(args.out, doc, "sample")
     return doc, EXIT_FEASIBLE
 
 

@@ -8,12 +8,21 @@ Pick matrices, up to reported tails).  Polynomial samples of every kind
 share one draw, scale and return path; a kind only picks keys and shapes.
 
 Certification routes
-  disk polynomials   sup-norm on the circle via a fine grid plus a Lipschitz
-                     correction (the multiplier norm equals the sup norm);
-                     the grid values are one FFT of the padded coefficients
-                     and each point's norm is the top eigenvalue of a small
-                     Gram, whose rounding (about 1e-16 relative) sits far
-                     below the Lipschitz term (about 1e-3 relative)
+  disk polynomials   sup-norm on the circle via a fine grid of G points plus
+                     a Lipschitz correction L pi / G, L = sum_n n ||S_n||
+                     (the multiplier norm equals the sup norm).  The grid
+                     maximum comes from two passes of direct sums over the
+                     keys: pass 1 takes every 8th point, pass 2 only the
+                     points of the cells whose coarse value plus L * 4 (2 pi
+                     / G) reaches the coarse maximum (1e-12 relative margin
+                     for rounding); every skipped point lies within 4 grid
+                     steps of its cell's coarse point, so it is provably
+                     below the coarse maximum and the certificate is that of
+                     the full grid.  Polynomials with more than log2(G) keys
+                     take the full grid from one FFT instead.  Each point's
+                     norm is the top eigenvalue of a small Gram; rounding
+                     (about 1e-16 relative) sits far below the Lipschitz
+                     term (about 1e-3 relative)
   Blaschke products  inner functions have multiplier norm exactly |c|
   ball / quiver      triangle inequality over homogeneous levels; creation
                      operators of a fixed level have orthogonal ranges, so
@@ -74,17 +83,60 @@ def complex_gaussian(rng, *shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
 
 
+@functools.lru_cache(maxsize=4)
+def _roots_of_unity(grid: int) -> np.ndarray:
+    """exp(2 pi i k / grid) for k = 0..grid-1, read-only (shared by callers)."""
+    roots = np.exp(2j * np.pi * np.arange(grid) / grid)
+    roots.flags.writeable = False
+    return roots
+
+
+def _top_gram_eigenvalues(vals: np.ndarray) -> np.ndarray:
+    """Squared operator norm of each vals[:, :, k]: the top eigenvalue of the
+    min(p, q)-square Gram, in closed form for sizes 1 and 2."""
+    if vals.shape[0] > vals.shape[1]:
+        vals = vals.swapaxes(0, 1)
+    if len(vals) > 2:
+        gram = np.einsum("ikg,jkg->ijg", vals, vals.conj())
+        return np.linalg.eigvalsh(np.moveaxis(gram, -1, 0))[:, -1]
+    diag = (vals.real ** 2 + vals.imag ** 2).sum(axis=1)
+    if len(vals) == 1:
+        return diag[0]
+    a, c = diag
+    off = (vals[0] * vals[1].conj()).sum(axis=0)
+    return (a + c) / 2 + np.hypot((a - c) / 2, np.abs(off))
+
+
+# Pass 1 of disk_sup_norm_bound evaluates every _COARSE-th grid point, pass 2
+# the other points of each hot cell: offsets -_COARSE/2 .. _COARSE/2 - 1 from
+# its coarse point, so no point is more than _COARSE/2 steps from it.
+_COARSE = 8
+_CELL_OFFSETS = np.array([-4, -3, -2, -1, 1, 2, 3])
+
+
 def disk_sup_norm_bound(coefficients: Dict[int, np.ndarray], grid: int = 4096) -> float:
     """Certified upper bound on max_{|z|=1} ||S(z)|| for a matrix polynomial.
 
     Grid maximum of ||S(e^(i theta))|| over theta = 2 pi k / grid, plus a
-    Lipschitz correction sum_n n ||S_n|| * (pi / grid), which dominates the
-    derivative of theta -> ||S(e^(i theta))||.  The grid values are one FFT
-    of the zero-padded coefficients (it visits the same points in reverse
-    order); the norm at each point is the square root of the top eigenvalue
-    of the min(p, q)-square Gram, in closed form for sizes 1 and 2.  Its
-    rounding, about 1e-16 relative, is far below the Lipschitz term, about
-    1e-3 relative at the default grid.
+    Lipschitz correction L * (pi / grid), L = sum_n n ||S_n||, which
+    dominates the derivative of theta -> ||S(e^(i theta))||.  The norm at a
+    point is the square root of the top eigenvalue of the min(p, q)-square
+    Gram; its rounding, about 1e-16 relative, is far below the Lipschitz
+    term, about 1e-3 relative at the default grid.
+
+    With at most log2(grid) keys the grid maximum takes two passes of
+    direct sums over the keys, against a cached table of roots of unity.
+    Pass 1 evaluates every 8th point.  The cell of a coarse point is the
+    fine points from 4 steps before it to 3 after it, round the circle, so
+    every point lies in a cell within 4 steps, 4 (2 pi / grid), of its
+    coarse point.  Pass 2 evaluates only the cells whose coarse value plus
+    L * 4 (2 pi / grid) reaches the coarse maximum, less a 1e-12 relative
+    margin for rounding.  Every skipped point is then below the coarse
+    maximum, so the result is the full grid's up to rounding.  With more
+    keys the grid values are one FFT of the zero-padded coefficients (it
+    visits the same points in reverse order): when every cell is hot, direct
+    sums cost keys x grid multiply-adds per entry, the FFT about
+    grid x log2(grid).
 
     Keys must be integers in [0, grid) (ArgumentError), and every
     coefficient must have the same shape (ShapeError), at least 1 x 1
@@ -102,24 +154,31 @@ def disk_sup_norm_bound(coefficients: Dict[int, np.ndarray], grid: int = 4096) -
     if len(shapes) > 1:
         raise ShapeError(f"coefficients must share one shape, got {sorted(shapes)}")
     stack = np.stack(stack)
-    _, p, q = stack.shape
+    keys, p, q = stack.shape
     if not p * q:
         raise DimensionError(f"coefficients must be at least 1 x 1, got {p} x {q}")
-    padded = np.zeros((p, q, grid), dtype=np.complex128)
-    padded[:, :, ns] = stack.transpose(1, 2, 0)
-    vals = np.fft.fft(padded, axis=-1)
-    if p > q:
-        vals = vals.swapaxes(0, 1)
-    gram = np.einsum("ikg,jkg->ijg", vals, vals.conj())
-    if len(gram) == 1:
-        top = gram[0, 0].real
-    elif len(gram) == 2:
-        a, c = gram[0, 0].real, gram[1, 1].real
-        top = (a + c) / 2 + np.hypot((a - c) / 2, np.abs(gram[0, 1]))
+    entries = stack.reshape(keys, p * q).T  # column i holds S_(ns[i])
+    direct = keys <= math.log2(grid)
+    if direct:
+        roots = _roots_of_unity(grid)
+        vals = entries @ roots[(ns[:, None] * np.arange(0, grid, _COARSE)) % grid]
     else:
-        top = np.linalg.eigvalsh(np.moveaxis(gram, -1, 0))[:, -1]
-    lipschitz = float(ns @ np.linalg.norm(stack, 2, axis=(1, 2)))
-    return math.sqrt(float(top.max())) + lipschitz * np.pi / grid
+        padded = np.zeros((p * q, grid), dtype=np.complex128)
+        padded[:, ns] = entries
+        vals = np.fft.fft(padded, axis=-1)
+    # the coefficients ride along as extra points, for the Lipschitz term
+    norms = np.sqrt(_top_gram_eigenvalues(
+        np.concatenate([vals, entries], axis=1).reshape(p, q, -1)))
+    lipschitz = float(ns @ norms[-keys:])
+    best = float(norms[:-keys].max())
+    if direct:
+        reach = best * (1 - 1e-12) - lipschitz * (_COARSE // 2) * 2 * np.pi / grid
+        hot = np.flatnonzero(norms[:-keys] >= reach)
+        fine = (_COARSE * hot[:, None] + _CELL_OFFSETS).ravel() % grid
+        vals = entries @ roots[(ns[:, None] * fine) % grid]
+        top = _top_gram_eigenvalues(vals.reshape(p, q, -1)).max()
+        best = max(best, math.sqrt(float(top)))
+    return best + lipschitz * np.pi / grid
 
 
 def free_norm_bound(sample_coeffs, level_of, source_of) -> float:
@@ -295,6 +354,12 @@ def eval_rtoa(sample: SchurSample, direction, operator_point) -> np.ndarray:
     return out
 
 
+def _kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """np.kron(A, B) of two matrices, bit for bit, as one broadcast product."""
+    (p, q), (k, m) = A.shape, B.shape
+    return (A[:, None, :, None] * B[None, :, None, :]).reshape(p * k, q * m)
+
+
 def eval_tensor(sample: SchurSample, operator_point) -> np.ndarray:
     """S(Z) = sum_n S_n kron Z^n for r_spec(Z) < 1."""
     _require_setting(sample, "disk")
@@ -308,7 +373,7 @@ def eval_tensor(sample: SchurSample, operator_point) -> np.ndarray:
     for n in range(max(sample.coefficients, default=-1) + 1):
         C = sample.coefficients.get(n)
         if C is not None:
-            out += np.kron(C, power)
+            out += _kron(C, power)
         power = Z @ power
     return out
 
@@ -350,7 +415,7 @@ def eval_quiver_tensor(sample: SchurSample, operator_point, zdims: Grading
     out = np.zeros((out_total, in_total), dtype=np.complex128)
     for path, C in sample.coefficients.items():
         P = quiver_mod.path_power(operator_point, path, zdims)
-        blk = np.kron(C, P)
+        blk = _kron(C, P)
         r0 = out_off[path.target]
         c0 = in_off[path.source]
         out[r0:r0 + blk.shape[0], c0:c0 + blk.shape[1]] += blk

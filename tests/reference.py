@@ -2,8 +2,10 @@
 
 Each is a direct transcription of a definition, independent of the kernel
 it checks: the Stein series and its tail bound for
-:func:`picklab.matcore.solve_stein`, and the amplification of a stored map
-for the witness of :func:`picklab.cp.cp_check`.
+:func:`picklab.matcore.solve_stein`, the amplification of a stored map
+for the witness of :func:`picklab.cp.cp_check`, and the np.kron
+accumulations that :func:`picklab.oracle.eval_tensor` and
+:func:`picklab.oracle.eval_quiver_tensor` must match bit for bit.
 """
 
 import numpy as np
@@ -11,6 +13,7 @@ import numpy as np
 from picklab.cp import LinearMapOnMatrices
 from picklab.errors import DimensionError, DivergenceError
 from picklab.matcore import as_complex_matrix, operator_norm, spectral_radius
+from picklab.quiver import path_power
 
 
 def stein_series(A, Q, B, terms: int) -> np.ndarray:
@@ -56,3 +59,38 @@ def amplified_apply(phi: LinearMapOnMatrices, B: np.ndarray, k: int) -> np.ndarr
         raise DimensionError(f"amplified argument has shape {B.shape}")
     out = np.einsum("aibj,ijxy->axby", B.reshape(k, n, k, n), phi.unit_images)
     return out.reshape(m * k, m * k)
+
+
+def kron_eval_tensor(sample, Z) -> np.ndarray:
+    """S(Z) = sum_n S_n kron Z^n: np.kron of each coefficient with the power
+    Z^n = Z @ Z^(n-1), added in key order."""
+    Z = as_complex_matrix(Z)
+    p, q = sample.shape
+    k = Z.shape[0]
+    out = np.zeros((p * k, q * k), dtype=np.complex128)
+    power = np.eye(k, dtype=np.complex128)
+    for n in range(max(sample.coefficients, default=-1) + 1):
+        if n in sample.coefficients:
+            out += np.kron(sample.coefficients[n], power)
+        power = Z @ power
+    return out
+
+
+def kron_eval_quiver_tensor(sample, point, zdims) -> np.ndarray:
+    """S(Z) = sum_g np.kron(S_g, Z^g), added in coefficient order into the
+    block (target, source) of the vertex-wise tensor product gradings."""
+    def offsets(grading):
+        off, pos = {}, 0
+        for v in grading.quiver.vertices:
+            off[v] = pos
+            pos += grading[v] * zdims[v]
+        return off, pos
+
+    row_off, rows = offsets(sample.out_dims)
+    col_off, cols = offsets(sample.in_dims)
+    out = np.zeros((rows, cols), dtype=np.complex128)
+    for path, C in sample.coefficients.items():
+        blk = np.kron(C, path_power(point, path, zdims))
+        r, c = row_off[path.target], col_off[path.source]
+        out[r:r + blk.shape[0], c:c + blk.shape[1]] += blk
+    return out

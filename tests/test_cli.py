@@ -65,6 +65,22 @@ class TestExitCodes:
         assert (error["code"], error["path"]) == ("data", str(p))
         assert captured.err == ""
 
+    # one case per output file: the Agler certificate, the sample
+    @pytest.mark.parametrize("argv", [
+        ["agler", str(FIXTURES / "agler_bidisk_feasible.json"), "--emit-certificate"],
+        ["sample", "--kind", "disk.poly", "--degree", "2", "--seed", "1", "--out"]],
+        ids=lambda argv: argv[0])
+    def test_unwritable_output_is_data_error(self, argv, tmp_path, capsys):
+        p = tmp_path / "missing" / "out.json"
+        code = cli.main(argv + [str(p)])
+        captured = capsys.readouterr()
+        assert code == 65
+        error = json.loads(captured.out)["error"]
+        assert (error["code"], error["path"]) == ("data", str(p))
+        assert error["message"].startswith("cannot write ")
+        assert captured.err == ""
+        assert not p.parent.exists()
+
     def test_invalid_payload_is_data_error(self, tmp_path, capsys):
         p = tmp_path / "req.json"
         p.write_text(json.dumps({"schema_version": "1", "setting": "disk.fov",

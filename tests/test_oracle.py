@@ -7,6 +7,7 @@ from picklab import ball, matcore, oracle, serialize
 from picklab import quiver as qv
 from picklab.errors import ArgumentError, DomainError, ShapeError
 from picklab.quiver import Grading, QuiverPoint
+from reference import kron_eval_quiver_tensor, kron_eval_tensor
 
 
 def cg(rng, *shape):
@@ -167,6 +168,40 @@ class TestDiskSupNormBound:
             ref = svd_sup_norm_bound(coeffs, grid)
             assert abs(oracle.disk_sup_norm_bound(coeffs, grid) - ref) <= 1e-13 * ref
 
+    # The grid maximum takes two passes (every 8th point, then the cells the
+    # Lipschitz bound cannot rule out) for at most log2(grid) keys, one FFT
+    # for more; either way it must be the full grid's.
+    @staticmethod
+    def _matches_reference(coeffs, grid=4096):
+        ref = svd_sup_norm_bound(coeffs, grid)
+        return abs(oracle.disk_sup_norm_bound(coeffs, grid) - ref) <= 1e-13 * ref
+
+    @pytest.mark.parametrize("keys", [
+        {2: np.array([[0.6, 0.8j], [0.8, -0.6j]])},        # U z^2, U unitary
+        {1: np.diag([1.0, 0.0]), 2: np.diag([0.0, 1.0])},  # diag(z, z^2)
+        {0: cg(np.random.default_rng(4), 2, 2), 4000: np.eye(2)},
+        dict(enumerate(cg(np.random.default_rng(5), 65, 2, 2))),  # FFT side
+    ], ids=["unitary", "diag", "keys_0_4000", "degree_64"])
+    def test_flat_sparse_and_many_keys(self, keys):
+        # the flat norms of the first two send every cell to pass 2
+        assert self._matches_reference(keys)
+
+    @pytest.mark.parametrize("phase", [0.0, 0.1234, 2 * np.pi * 3.5 / 4096])
+    def test_sharply_peaked(self, phase):
+        # a Fejer-like bump of height 1 at angle `phase` (between two grid
+        # points for the last one), beside a constant 0.5 block
+        assert self._matches_reference(
+            {n: np.diag([np.exp(-1j * n * phase) / 12, 0.5 * (n == 0)])
+             for n in range(12)})
+
+    @pytest.mark.parametrize("grid", [5, 12, 4097, 4100])
+    def test_grid_not_divisible_by_eight(self, grid):
+        rng = np.random.default_rng(grid)
+        for shape in [(1, 1), (2, 2), (3, 2)]:
+            for keys in [(0, 1), (0, 2, 4)]:
+                assert self._matches_reference(
+                    {n: cg(rng, *shape) for n in keys}, grid)
+
     @pytest.mark.parametrize("key", [-1, 2.5, "1", 4096])
     def test_non_taylor_keys_rejected(self, key):
         # a negative key would make the Lipschitz term negative and the
@@ -184,6 +219,44 @@ class TestDiskSupNormBound:
     def test_coefficients_of_different_shapes_rejected(self):
         with pytest.raises(ShapeError):
             oracle.disk_sup_norm_bound({0: np.eye(2), 1: np.ones((2, 3))})
+
+
+class TestTensorEvaluationsMatchKron:
+    """eval_tensor and eval_quiver_tensor form each Kronecker block as one
+    broadcast product: the same bits as the np.kron accumulation."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (3, 2)])
+    def test_eval_tensor(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        s = oracle.sample_contractive_poly(*shape, 4, "disk", seed=20)
+        gap = oracle.SchurSample(
+            "disk", {n: C for n, C in s.coefficients.items() if n != 2},
+            s.norm_bound, shape=s.shape)
+        for k in (1, 3):
+            Z = cg(rng, k, k)
+            Z *= 0.7 / matcore.operator_norm(Z)
+            for sample in (s, gap):
+                assert np.array_equal(oracle.eval_tensor(sample, Z),
+                                      kron_eval_tensor(sample, Z))
+
+    def test_eval_quiver_tensor(self):
+        G, _, _ = qv.two_vertex_example()
+        in_dims = Grading(G, {"a": 1, "b": 2})
+        out_dims = Grading(G, {"a": 2, "b": 3})
+        s = oracle.sample_contractive_poly(1, 1, 3, "quiver", seed=21, quiver=G,
+                                           in_dims=in_dims, out_dims=out_dims)
+        dropped = next(pth for pth in s.coefficients if pth.length == 1)
+        gap = oracle.SchurSample(
+            "quiver", {pth: C for pth, C in s.coefficients.items() if pth != dropped},
+            s.norm_bound, quiver=G, in_dims=in_dims, out_dims=out_dims)
+        zd = Grading(G, {"a": 2, "b": 3})
+        rng = np.random.default_rng(21)
+        pt = QuiverPoint("tensor", {"alpha": cg(rng, 2, 2), "beta": cg(rng, 3, 2)})
+        scale = 0.6 / qv.disk_membership(G, zd, pt).worst_row_norm
+        pt = QuiverPoint("tensor", {a: M * scale for a, M in pt.blocks.items()})
+        for sample in (s, gap):
+            assert np.array_equal(oracle.eval_quiver_tensor(sample, pt, zd),
+                                  kron_eval_quiver_tensor(sample, pt, zd))
 
 
 class TestDeterminism:
