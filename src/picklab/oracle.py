@@ -13,16 +13,16 @@ Certification routes
                      (the multiplier norm equals the sup norm).  The grid
                      maximum comes from two passes of direct sums over the
                      keys: pass 1 takes every 8th point, pass 2 only the
-                     points of the cells whose coarse value plus L * 4 (2 pi
-                     / G) reaches the coarse maximum (1e-12 relative margin
-                     for rounding); every skipped point lies within 4 grid
-                     steps of its cell's coarse point, so it is provably
-                     below the coarse maximum and the certificate is that of
-                     the full grid.  Polynomials with more than log2(G) keys
-                     take the full grid from one FFT instead.  Each point's
-                     norm is the top eigenvalue of a small Gram; rounding
-                     (about 1e-16 relative) sits far below the Lipschitz
-                     term (about 1e-3 relative)
+                     cells (the points within 4 grid steps of a coarse
+                     point) whose coarse value plus L * 4 (2 pi / G) reaches
+                     the coarse maximum, less 1e-12 relative for rounding.
+                     Every skipped point is provably below the coarse
+                     maximum, so the certificate is that of the full grid.
+                     When every cell is hot (high degree), pass 2 costs
+                     keys x G multiply-adds per entry.  Each point's norm
+                     is the top eigenvalue of a small Gram; rounding (about
+                     1e-16 relative) sits far below the Lipschitz term
+                     (about 1e-3 relative)
   Blaschke products  inner functions have multiplier norm exactly |c|
   ball / quiver      triangle inequality over homogeneous levels; creation
                      operators of a fixed level have orthogonal ranges, so
@@ -107,11 +107,11 @@ def _top_gram_eigenvalues(vals: np.ndarray) -> np.ndarray:
     return (a + c) / 2 + np.hypot((a - c) / 2, np.abs(off))
 
 
-# Pass 1 of disk_sup_norm_bound evaluates every _COARSE-th grid point, pass 2
-# the other points of each hot cell: offsets -_COARSE/2 .. _COARSE/2 - 1 from
-# its coarse point, so no point is more than _COARSE/2 steps from it.
+# Pass 1 of disk_sup_norm_bound evaluates every _COARSE-th grid point; the
+# cell of a coarse point is the grid points from _COARSE/2 steps before it to
+# _COARSE/2 - 1 after it, round the circle.
 _COARSE = 8
-_CELL_OFFSETS = np.array([-4, -3, -2, -1, 1, 2, 3])
+_CELL_OFFSETS = np.arange(-_COARSE // 2, _COARSE // 2)
 
 
 def disk_sup_norm_bound(coefficients: Dict[int, np.ndarray], grid: int = 4096) -> float:
@@ -124,19 +124,17 @@ def disk_sup_norm_bound(coefficients: Dict[int, np.ndarray], grid: int = 4096) -
     Gram; its rounding, about 1e-16 relative, is far below the Lipschitz
     term, about 1e-3 relative at the default grid.
 
-    With at most log2(grid) keys the grid maximum takes two passes of
-    direct sums over the keys, against a cached table of roots of unity.
-    Pass 1 evaluates every 8th point.  The cell of a coarse point is the
-    fine points from 4 steps before it to 3 after it, round the circle, so
-    every point lies in a cell within 4 steps, 4 (2 pi / grid), of its
-    coarse point.  Pass 2 evaluates only the cells whose coarse value plus
-    L * 4 (2 pi / grid) reaches the coarse maximum, less a 1e-12 relative
-    margin for rounding.  Every skipped point is then below the coarse
-    maximum, so the result is the full grid's up to rounding.  With more
-    keys the grid values are one FFT of the zero-padded coefficients (it
-    visits the same points in reverse order): when every cell is hot, direct
-    sums cost keys x grid multiply-adds per entry, the FFT about
-    grid x log2(grid).
+    The grid maximum takes two passes of direct sums over the keys, against
+    a cached table of roots of unity w = exp(2 pi i / grid).  Pass 1
+    evaluates every 8th point.  The cell of a coarse point is the points
+    from 4 steps before it to 3 after it, round the circle, so every point
+    lies within 4 (2 pi / grid) of its cell's coarse point.  Pass 2
+    evaluates only the cells whose coarse value plus L * 4 (2 pi / grid)
+    reaches the coarse maximum, less a 1e-12 relative margin for rounding;
+    it reuses pass 1's powers, S(w^(8h + o)) = sum_n (S_n w^(o n)) w^(8 h n).
+    Every skipped point is then below the coarse maximum, so the result is
+    the full grid's up to rounding.  When every cell is hot, as at high
+    degree, pass 2 costs keys x grid multiply-adds per entry.
 
     Keys must be integers in [0, grid) (ArgumentError), and every
     coefficient must have the same shape (ShapeError), at least 1 x 1
@@ -158,27 +156,19 @@ def disk_sup_norm_bound(coefficients: Dict[int, np.ndarray], grid: int = 4096) -
     if not p * q:
         raise DimensionError(f"coefficients must be at least 1 x 1, got {p} x {q}")
     entries = stack.reshape(keys, p * q).T  # column i holds S_(ns[i])
-    direct = keys <= math.log2(grid)
-    if direct:
-        roots = _roots_of_unity(grid)
-        vals = entries @ roots[(ns[:, None] * np.arange(0, grid, _COARSE)) % grid]
-    else:
-        padded = np.zeros((p * q, grid), dtype=np.complex128)
-        padded[:, ns] = entries
-        vals = np.fft.fft(padded, axis=-1)
+    roots = _roots_of_unity(grid)
+    powers = roots[(ns[:, None] * np.arange(0, grid, _COARSE)) % grid]
     # the coefficients ride along as extra points, for the Lipschitz term
     norms = np.sqrt(_top_gram_eigenvalues(
-        np.concatenate([vals, entries], axis=1).reshape(p, q, -1)))
+        np.concatenate([entries @ powers, entries], axis=1).reshape(p, q, -1)))
     lipschitz = float(ns @ norms[-keys:])
     best = float(norms[:-keys].max())
-    if direct:
-        reach = best * (1 - 1e-12) - lipschitz * (_COARSE // 2) * 2 * np.pi / grid
-        hot = np.flatnonzero(norms[:-keys] >= reach)
-        fine = (_COARSE * hot[:, None] + _CELL_OFFSETS).ravel() % grid
-        vals = entries @ roots[(ns[:, None] * fine) % grid]
-        top = _top_gram_eigenvalues(vals.reshape(p, q, -1)).max()
-        best = max(best, math.sqrt(float(top)))
-    return best + lipschitz * np.pi / grid
+    reach = best * (1 - 1e-12) - lipschitz * (_COARSE // 2) * 2 * np.pi / grid
+    hot = np.flatnonzero(norms[:-keys] >= reach)
+    twisted = entries[:, None, :] * roots[(_CELL_OFFSETS[:, None] * ns) % grid]
+    vals = twisted.reshape(-1, keys) @ powers[:, hot]
+    top = _top_gram_eigenvalues(vals.reshape(p, q, -1)).max()
+    return max(best, math.sqrt(float(top))) + lipschitz * np.pi / grid
 
 
 def free_norm_bound(sample_coeffs, level_of, source_of) -> float:
