@@ -38,13 +38,18 @@ def _check_disk_points(lams) -> np.ndarray:
     return lams
 
 def _check_strict_ops(points, what="operator point") -> list[np.ndarray]:
+    """The points as square nonempty complex matrices of spectral radius < 1;
+    points of one shape get their radii from one batched eigvals."""
     mats = [as_complex_matrix(P) for P in points]
     for P in mats:
         if P.shape[0] != P.shape[1]:
             raise DimensionError(f"{what} must be square, got {P.shape}")
         if not P.size:
             raise DimensionError(f"{what} must be at least 1 x 1")
-        r = matcore.spectral_radius(P)
+    radii = (np.abs(np.linalg.eigvals(np.array(mats))).max(axis=1)
+             if len({P.shape for P in mats}) == 1
+             else [matcore.spectral_radius(P) for P in mats])
+    for r in radii:
         if r >= 1.0:
             raise DomainError(f"{what} has spectral radius {r:.6g} >= 1")
     return mats

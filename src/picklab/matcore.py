@@ -5,8 +5,9 @@ and the fixed-point kernel behind every operator-argument Pick matrix:
 P = M + sum_a L_a P L_a* on the whole condition-stacked matrix, with L_a
 block diagonal over the conditions.  Block-diagonal operators are kept as
 block stacks (N, m, n) and applied by :func:`sandwich`.  One arrow is a
-Stein equation, solved by Smith doubling on the stacks (:func:`solve_stein`);
-several arrows are summed by the level recursion (:func:`level_sum`),
+Stein equation, solved by Smith doubling on the stacks in workspaces
+allocated once per call (:func:`solve_stein`); several arrows are summed
+by the level recursion over the stacked letters (:func:`level_sum`),
 truncated at levels planned with certified geometric tails
 (:func:`plan_levels`).  Within picklab only
 :func:`picklab.reports.fixed_point` calls the two solvers.  All functions
@@ -55,9 +56,12 @@ def _require_square(A: np.ndarray, what: str = "matrix") -> np.ndarray:
 
 def hermitize(M) -> np.ndarray:
     """(M + M*)/2 of a matrix, or of each block of a stack (N, n, n).
-    Idempotent on Hermitian input."""
+    Idempotent on Hermitian input.  Computed in place on a copy of M*."""
     A = M if np.ndim(M) == 3 else _require_square(as_complex_matrix(M))
-    return (A + A.conj().swapaxes(-1, -2)) / 2.0
+    H = np.conj(A.swapaxes(-1, -2), order="C", dtype=np.result_type(A, 0.5))
+    H += A
+    H *= 0.5
+    return H
 
 
 def min_eigenvalue(H) -> float:
@@ -82,7 +86,7 @@ def operator_norm(M) -> float:
     A = as_complex_matrix(M)
     if A.size == 0:
         return 0.0
-    return float(np.linalg.norm(A, 2))
+    return float(np.linalg.svd(A, compute_uv=False)[0])
 
 
 def spectral_radius(M) -> float:
@@ -110,8 +114,13 @@ def psd_verdict(A: np.ndarray, tol="auto") -> PsdVerdict:
     of :func:`hermitize`); it is not copied or symmetrized again.  The auto
     tolerance is the backward error dim * eps * ||A||, with the spectral norm
     max(|lam_min|, |lam_max|) read off the same eigenvalues."""
-    if tol != "auto" and float(tol) < 0:
-        raise ArgumentError("tolerance must be nonnegative")
+    try:
+        valid = tol == "auto" or 0.0 <= float(tol) < math.inf
+    except (TypeError, ValueError):
+        valid = False
+    if not valid:
+        raise ArgumentError(
+            f"tolerance must be 'auto' or finite and nonnegative, got {tol!r}")
     lam = _eigenvalues(A)
     tol = float(A.shape[0] * _EPS * max(abs(lam[0]), abs(lam[-1]))
                 if tol == "auto" else tol)
@@ -145,38 +154,51 @@ def solve_stein(A, Q, B):
     """Solve P - A P B* = Q, i.e. P = sum_n A^n Q B*^n, by Smith doubling.
 
     A and B are square matrices or stacks (N, n, n) of square blocks standing
-    for blockdiag(A_i); the doubling squares the blocks batched and applies
-    A_k P B_k* through :func:`sandwich`.  After k doublings P holds the first
+    for blockdiag(A_i); the doubling squares the blocks batched and adds
+    A_k P B_k* to P in place, the products of :func:`sandwich` written into
+    workspaces allocated once per call.  After k doublings P holds the first
     2^k terms; the loop stops once ||A^(2^k)||_F ||B^(2^k)||_F <= eps, where
     the dropped tail is below rounding relative to P.  A and B are
     rebalanced by a power of two at every step (exact, and the product
     A_k P B_k* is unchanged), so inputs with
     spectral_radius(A) > 1 > spectral_radius(A) * spectral_radius(B)
-    converge too.  DivergenceError when the norms stop being finite or 64
-    doublings do not converge.
+    converge too; when B is A (every Pick criterion) the balance is 1, and
+    B's norm, the rebalancing and B's squaring are skipped.  DivergenceError
+    when the norms stop being finite or 64 doublings do not converge.
     """
-    A, B = _as_stack(A), _as_stack(B)
+    same = B is A
+    A = _as_stack(A)
+    B = A if same else _as_stack(B)
     for S, what in ((A, "A"), (B, "B")):
         if S.shape[1] != S.shape[2]:
             raise DimensionError(f"{what} blocks must be square, got shape {S.shape[1:]}")
+    (N, n, _), (K, q, _) = A.shape, B.shape
     Q = as_complex_matrix(Q)
-    if Q.shape != (A.shape[0] * A.shape[1], B.shape[0] * B.shape[1]):
+    if Q.shape != (N * n, K * q):
         raise DimensionError(
             f"Q shape {Q.shape} does not conform to A {A.shape}, B {B.shape}")
     P = Q.copy()
+    rows, cols = P.reshape(N, n, K * q), P.reshape(N * n, K, q)
+    AP = np.empty(rows.shape, dtype=np.complex128)
+    APB = np.empty((K, N * n, q), dtype=np.complex128)
+    Bc = np.empty(B.shape, dtype=np.complex128)
     for _ in range(64):
         na = np.linalg.norm(A)
-        nb = np.linalg.norm(B)
+        nb = na if same else np.linalg.norm(B)
         if not math.isfinite(na * nb):
             break
         if na * nb <= _EPS:
             return P
-        s = 2.0 ** round(0.5 * math.log2(na / nb))
-        A = A / s
-        B = B * s
-        P += sandwich(A, P, B)
+        if not same:
+            s = 2.0 ** round(0.5 * math.log2(na / nb))
+            A = A / s
+            B = B * s
+        np.matmul(A, rows, out=AP)
+        np.matmul(AP.reshape(N * n, K, q).swapaxes(0, 1),
+                  np.conj(B, out=Bc).swapaxes(1, 2), out=APB)
+        cols += APB.swapaxes(0, 1)
         A = A @ A
-        B = B @ B
+        B = A if same else B @ B
     raise DivergenceError(
         "Stein doubling did not converge; spectral_radius(A) * "
         "spectral_radius(B) must be < 1")
@@ -189,12 +211,15 @@ def level_sum(Ls, M, levels: int) -> np.ndarray:
     The truncated fixed point P = M + Phi(P) of every several-arrow Pick
     criterion: each L_a is block diagonal over the conditions (and, for
     quivers, placed by vertex), so one recursion on the whole stacked
-    matrix replaces one per pair of conditions.
+    matrix replaces one per pair of conditions.  The letters are stacked,
+    and their adjoints formed, once; a level is one batched product.
     """
     cur = as_complex_matrix(M)
+    Ls = np.asarray(Ls, dtype=np.complex128)
+    Lh = Ls.conj().swapaxes(1, 2)
     acc = cur.copy()
     for _ in range(levels):
-        cur = sum(L @ cur @ L.conj().T for L in Ls)
+        cur = np.add.reduce(Ls @ cur @ Lh)
         acc += cur
     return acc
 

@@ -200,12 +200,13 @@ def block_entries(M, sizes, row_norms):
 def fixed_point(letters, M, plan):
     """The fixed point P = M + sum_a L_a P L_a*, L_a = blockdiag_i letters[i][a].
 
-    Returns (P, tails).  One arrow is solved by stacked Smith doubling
-    (blocks of unequal size are zero-padded by :func:`pad_conditions` and
-    the padding dropped afterwards); tails is None and plan is never called.
-    Several arrows run the level recursion to the largest level of levels,
-    tails = plan(), so only several-arrow inputs pay for the plan's norms or
-    its BudgetError.
+    Returns (P, tails).  One arrow is solved by stacked Smith doubling on M
+    and the stacked letters as they are; only blocks of unequal size are
+    zero-padded by :func:`pad_conditions`, and the padding dropped
+    afterwards.  tails is None and plan is never called.  Several arrows
+    run the level recursion to the largest level of levels, tails = plan(),
+    so only several-arrow inputs pay for the plan's norms or its
+    BudgetError.
     """
     N, arrows = len(letters), len(letters[0])
     if arrows > 1:
@@ -213,6 +214,9 @@ def fixed_point(letters, M, plan):
         Ls = [matcore.block_diag([L[a] for L in letters]) for a in range(arrows)]
         return matcore.level_sum(Ls, M, max(levels)), tails
     sizes = [len(L[0]) for L in letters]
+    if len(set(sizes)) == 1:
+        T = np.array([L[0] for L in letters], dtype=np.complex128)
+        return matcore.solve_stein(T, M, T), None
     Q, keep = pad_conditions(M, sizes)
     n = len(Q) // N
     T = np.zeros((N, n, n), dtype=np.complex128)

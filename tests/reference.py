@@ -5,14 +5,19 @@ it checks: the Stein series and its tail bound for
 :func:`picklab.matcore.solve_stein`, the amplification of a stored map
 for the witness of :func:`picklab.cp.cp_check`, and the np.kron
 accumulations that :func:`picklab.oracle.eval_tensor` and
-:func:`picklab.oracle.eval_quiver_tensor` must match bit for bit.
+:func:`picklab.oracle.eval_quiver_tensor` must match bit for bit.  The
+allocating forms of the matcore kernels (doubling by sandwich products,
+(A + A*)/2, np.linalg.norm(A, 2) and the generator level sum) are the
+references that the copy-free kernels must match bit for bit.
 """
+
+import math
 
 import numpy as np
 
 from picklab.cp import LinearMapOnMatrices
 from picklab.errors import DimensionError, DivergenceError
-from picklab.matcore import as_complex_matrix, operator_norm, spectral_radius
+from picklab.matcore import as_complex_matrix, operator_norm, sandwich, spectral_radius
 from picklab.quiver import path_power
 
 
@@ -94,3 +99,43 @@ def kron_eval_quiver_tensor(sample, point, zdims) -> np.ndarray:
         r, c = row_off[path.target], col_off[path.source]
         out[r:r + blk.shape[0], c:c + blk.shape[1]] += blk
     return out
+
+
+def doubling_by_sandwich(A, Q, B) -> np.ndarray:
+    """Smith doubling with a fresh :func:`picklab.matcore.sandwich` product
+    per step: every step rebalances A and B by a power of two, also when B
+    is A, adds A_k P B_k* to P and squares both stacks."""
+    A = np.asarray(A, dtype=np.complex128).reshape((-1,) + np.shape(A)[-2:])
+    B = np.asarray(B, dtype=np.complex128).reshape((-1,) + np.shape(B)[-2:])
+    P = np.array(Q, dtype=np.complex128)
+    for _ in range(64):
+        na, nb = np.linalg.norm(A), np.linalg.norm(B)
+        if na * nb <= np.finfo(np.float64).eps:
+            return P
+        s = 2.0 ** round(0.5 * math.log2(na / nb))
+        A, B = A / s, B * s
+        P += sandwich(A, P, B)
+        A, B = A @ A, B @ B
+    raise DivergenceError("Stein doubling did not converge")
+
+
+def halved_sum(A) -> np.ndarray:
+    """(A + A*)/2 of a matrix or of each block of a stack."""
+    return (A + A.conj().swapaxes(-1, -2)) / 2.0
+
+
+def norm_2(A) -> float:
+    """Largest singular value by np.linalg.norm(A, 2); 0 for an empty matrix."""
+    A = np.asarray(A, dtype=np.complex128)
+    return 0.0 if A.size == 0 else float(np.linalg.norm(A, 2))
+
+
+def level_sum_by_arrows(Ls, M, levels: int) -> np.ndarray:
+    """sum_{n=0}^{levels} Phi^n(M), each level a generator sum over the
+    arrows of L_a cur L_a*."""
+    cur = np.array(M, dtype=np.complex128)
+    acc = cur.copy()
+    for _ in range(levels):
+        cur = sum(L @ cur @ L.conj().T for L in Ls)
+        acc += cur
+    return acc

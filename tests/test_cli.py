@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from picklab import agler, ball, cli, disk, quiver, serialize
+from picklab import agler, ball, cli, cp, disk, quiver, serialize
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -685,6 +685,25 @@ class TestChoiCommands:
         code, doc = run_cli(["cpcheck", str(p)], capsys)
         assert code == 0
         assert doc["is_cp"]
+
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_cpcheck_bad_tol_is_data_error(self, tol, tmp_path, capsys):
+        # a completely positive map, which --tol nan used to reject with a
+        # witness and --tol inf accepts whatever the map
+        phi = cp.blockwise_conditional_expectation([1, 1], 1)
+        p = tmp_path / "map.json"
+        p.write_text(json.dumps({
+            "schema_version": "1", "in_dim": phi.in_dim, "out_dim": phi.out_dim,
+            "unit_images": [[serialize.matrix_to_json(image) for image in row]
+                            for row in phi.unit_images]}))
+        code = cli.main(["cpcheck", str(p), "--tol", tol])
+        captured = capsys.readouterr()
+        assert code == 65
+        error = json.loads(captured.out)["error"]
+        assert error["code"] == "ArgumentError"
+        assert "tolerance" in error["message"]
+        assert captured.err == ""
 
 
 class TestAglerCertificateEmission:

@@ -149,6 +149,14 @@ class TestPickLtoaRtoa:
         with pytest.raises(DomainError):
             disk.pick_ltoa([np.eye(2)], [np.eye(2)], [np.eye(2)])
 
+    @pytest.mark.parametrize("sizes", [(2, 2, 2), (2, 3, 2)])
+    def test_domain_error_names_first_offending_radius(self, sizes):
+        # one shape takes one batched eigvals, mixed shapes one call per point
+        T = [np.diag(np.r_[0.5, np.zeros(n - 1)]) for n in sizes]
+        T[1][-1, -1], T[2][0, 0] = 1.25, 3.0
+        with pytest.raises(DomainError, match=r"spectral radius 1\.25 >= 1"):
+            disk.pick_ltoa(T, [np.eye(n) for n in sizes], [np.eye(n) for n in sizes])
+
 
 class TestRdExpansion:
     def test_kappa_one_is_relabeling(self):

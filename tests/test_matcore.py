@@ -76,6 +76,14 @@ def test_is_psd_examples():
         matcore.is_psd(np.eye(2), -1.0)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1.0, "abc", 1j, None])
+def test_is_psd_rejects_tolerance_not_finite_nonnegative(tol):
+    # a NaN tolerance used to call the identity not PSD, and an infinite one
+    # to call every matrix PSD
+    with pytest.raises(ArgumentError, match="tolerance"):
+        matcore.is_psd(np.eye(2), tol)
+
+
 def test_psd_verdicts_hermitize_once(monkeypatch):
     from picklab import cp, disk
     calls = []
