@@ -121,7 +121,7 @@ def nc_rd_problem(tuples, values, basis_dim: Optional[int] = None) -> AglerProbl
 def constraint_rhs(problem: AglerProblem) -> np.ndarray:
     """Hermitian block target [X_i X_j* - Y_i Y_j*]."""
     return matcore.hermitize(
-        stacked_middle(problem.tuples, problem.directions, problem.targets)[2])
+        stacked_middle(problem.tuples, problem.directions, problem.targets))
 
 
 def apply_constraint(kernels, problem: AglerProblem) -> np.ndarray:

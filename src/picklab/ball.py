@@ -179,7 +179,7 @@ def pick_da_ltoa(operator_points, directions, targets, tol="auto",
                 f"tuple {k} is not commutative (commutator norm {defect:.3g})")
     if not literal_unweighted:
         return pick_nc_ltoa(Zs, directions, targets, tol, series_tol, budget)
-    P = stacked_middle([Z.mats for Z in Zs], directions, targets)[2]
+    P = stacked_middle([Z.mats for Z in Zs], directions, targets)
     for k in range(Zs[0].d):
         P = fixed_point([[Z.mats[k]] for Z in Zs], P, None)[0]
     return series_report(P, None, tol)

@@ -275,7 +275,7 @@ def _options(doc: dict, args) -> dict:
 def _series_budget(opts, per_level: int) -> int:
     budget = config.work_budget()
     if "max_level" in opts:
-        budget = min(budget, (int(opts["max_level"]) + 1) * max(per_level, 1))
+        budget = min(budget, int(opts["max_level"]) * per_level)
     return budget
 
 

@@ -157,10 +157,10 @@ def build_phi_disk(operator_points, directions, targets) -> LinearMapOnMatrices:
     phi([B_ij]) = [sum_n X_i (I kron Z_i^n B_ij Z_j*^n) X_j*
                    - Y_i (I kron Z_i^n B_ij Z_j*^n) Y_j*]: the disk is the
     one-vertex, one-loop quiver, so the matrix is the vertex matrix of
-    :func:`picklab.quiver.qltt_vertex_matrix` (one arrow, so it never plans
-    and the points need spectral radius < 1, not row norm < 1).  Its Choi
-    matrix collapses to the standard tangential Pick matrix when the tensor
-    factor is trivial.
+    :func:`picklab.quiver.qltt_vertex_matrix` (one arrow, so it needs no tail
+    factor, and the points need spectral radius < 1, not row norm < 1).  Its
+    Choi matrix collapses to the standard tangential Pick matrix when the
+    tensor factor is trivial.
     """
     Z = _disk_points(operator_points)
     X = [as_complex_matrix(M) for M in directions]
@@ -194,7 +194,7 @@ def build_phi_star_disk(operator_points, directions, targets) -> LinearMapOnMatr
     Z = _disk_points(operator_points)
     points, X, Y = basis_columns(*disk.sharp_ltoa_to_rtoa(Z, directions, targets))
     letters = [[A] for A in points]
-    P = fixed_point(letters, stacked_middle(letters, X, Y)[2], None)[0]
+    P = fixed_point(letters, stacked_middle(letters, X, Y), None)[0]
     N, z = len(Z), Z[0].shape[0]
     return _condition_blockwise_map(P, N, len(P) // (N * z), z)
 

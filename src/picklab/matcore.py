@@ -8,8 +8,8 @@ block stacks (N, m, n) and applied by :func:`sandwich`.  One arrow is a
 Stein equation, solved by Smith doubling on the stacks in workspaces
 allocated once per call (:func:`solve_stein`); several arrows are summed
 by the level recursion over the stacked letters (:func:`level_sum`),
-truncated at levels planned with certified geometric tails
-(:func:`plan_levels`).  Within picklab only
+which stops at the first level whose computed block norms bound the rest
+of the series below the tolerance.  Within picklab only
 :func:`picklab.reports.fixed_point` calls the two solvers.  All functions
 are pure; matrices are numpy complex arrays, and Hermitian outputs are
 always symmetrized explicitly.
@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import (
     ArgumentError,
-    BudgetError,
     DimensionError,
     DivergenceError,
     NumericError,
@@ -204,24 +203,38 @@ def solve_stein(A, Q, B):
         "spectral_radius(B) must be < 1")
 
 
-def level_sum(Ls, M, levels: int) -> np.ndarray:
-    """sum_{n=0}^{levels} Phi^n(M) for the completely positive map
-    Phi(P) = sum_a L_a P L_a*.
+def level_sum(Ls, M, sizes, q, series_tol: float, max_levels: int):
+    """(sum_{n=0}^{K} Phi^n(M), tails) for the completely positive map
+    Phi(P) = sum_a L_a P L_a*, stopped on its own computed tail.
 
     The truncated fixed point P = M + Phi(P) of every several-arrow Pick
-    criterion: each L_a is block diagonal over the conditions (and, for
-    quivers, placed by vertex), so one recursion on the whole stacked
-    matrix replaces one per pair of conditions.  The letters are stacked,
-    and their adjoints formed, once; a level is one batched product.
+    criterion: each L_a is block diagonal over the conditions of the given
+    sizes (and, for quivers, placed by vertex), so one recursion on the
+    whole stacked matrix replaces one per pair of conditions.  The letters
+    are stacked, and their adjoints formed, once; a level is one batched
+    product.  After level K (level 0 is M) the block tails are
+    tails_ij = q_ij ||C_K,ij||_F, C_K = Phi^K(M), all N^2 Frobenius norms
+    one reduction over a float view of C_K; the sum stops at the first K
+    where every tail is <= series_tol, or at K = max_levels.  A caller
+    whose letters contract block (i, j) by rho_ij per level, in a norm
+    that the Frobenius norm bounds, passes q_ij >= rho_ij / (1 - rho_ij),
+    so that the tails bound the dropped levels.
     """
-    cur = as_complex_matrix(M)
+    acc = as_complex_matrix(M).copy()
+    cur = acc
     Ls = np.asarray(Ls, dtype=np.complex128)
     Lh = Ls.conj().swapaxes(1, 2)
-    acc = cur.copy()
-    for _ in range(levels):
-        cur = np.add.reduce(Ls @ cur @ Lh)
-        acc += cur
-    return acc
+    rows = np.cumsum([0, *sizes[:-1]])
+    for level in range(max(max_levels, 0) + 1):
+        if level:
+            cur = np.add.reduce(Ls @ cur @ Lh)
+            acc += cur
+        F = cur.view(np.float64)
+        sq = np.add.reduceat(np.add.reduceat(F * F, rows, axis=0), 2 * rows, axis=1)
+        tails = q * np.sqrt(sq)
+        if tails.max() <= series_tol:
+            break
+    return acc, tails
 
 
 def block_diag(mats) -> np.ndarray:
@@ -259,39 +272,6 @@ def as_point_rows(points) -> np.ndarray:
         raise DimensionError(
             f"points must be a list of coordinate lists, got ndim={pts.ndim}")
     return pts
-
-
-def required_levels(r: float, norm0: float, series_tol: float) -> int:
-    """Smallest L with geometric tail norm0 * r^(L+1) / (1-r) <= series_tol."""
-    if norm0 == 0.0 or r == 0.0:
-        return 0
-    return max(0, int(math.ceil(math.log(series_tol * (1.0 - r) / norm0)
-                                / math.log(r))))
-
-
-def plan_levels(entries, per_level_cost: int, series_tol: float, budget: int):
-    """Choose truncation levels for a family of geometric sums at once.
-
-    entries is a list of (ratio, norm0) pairs; the whole family must fit in
-    the per-dataset work budget, measured in matrix multiplications.  On
-    overflow the BudgetError carries the tail achievable with the budget
-    spread evenly over the family.
-    """
-    levels = [required_levels(r, n, series_tol) for r, n in entries]
-    cost = per_level_cost * sum(L + 1 for L in levels)
-    if cost > budget:
-        per_entry = max(budget // (max(len(entries), 1) * max(per_level_cost, 1))
-                        - 1, 0)
-        achieved = max(
-            (n * r ** (per_entry + 1) / (1.0 - r)
-             for r, n in entries if 0.0 < r < 1.0 and n > 0.0),
-            default=0.0)
-        raise BudgetError(
-            f"series truncation needs {cost} multiplications, over budget "
-            f"{budget}", achieved_bound=achieved)
-    tails = [n * r ** (L + 1) / (1.0 - r) if 0.0 < r < 1.0 and n > 0.0 else 0.0
-             for (r, n), L in zip(entries, levels)]
-    return levels, tails
 
 
 def lyapunov_regularity_margin(Z) -> tuple[float, tuple[complex, complex]]:

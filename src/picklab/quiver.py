@@ -6,14 +6,14 @@ row blocks are strict contractions, and three Pick-matrix criteria decide
 tensor-calculus, functional-calculus and operator-argument interpolation.
 All three are the fixed point of :func:`picklab.reports.fixed_point` on the
 condition-stacked matrix, with one letter per quiver arrow placed by
-vertex: a Stein solve for one arrow, otherwise a level recursion truncated
-with certified geometric tails.  The criteria only assemble its letters,
-middle and plan.
+vertex: a Stein solve for one arrow, otherwise a level recursion that stops
+once its computed levels bound the rest below the series tolerance; on an
+acyclic quiver a level becomes exactly zero and the sum is finite.  The
+criteria only assemble its letters, middle and tail factor.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -31,7 +31,6 @@ from .matcore import as_complex_matrix
 from .reports import (
     FeasibilityReport,
     basis_columns,
-    block_entries,
     fixed_point,
     fixed_point_report,
     kernel_report,
@@ -290,28 +289,18 @@ def pick_qltt(G: Quiver, zdims: Grading, ydims: Grading, points, directions,
     pairs ((i, i'), (j, j')), i' <= zdims[v], sums over paths with source v
     the embedded blocks X_i (I tensor Z^g e_i' e_j'* Z^g*) X_j* minus the
     same with Y.  The problem is solvable iff every vertex matrix is PSD.
-    With several arrows one plan, made once for all vertices, sets the
-    levels and checks the budget: each (i, j) pair is a geometric sum of
-    ratio r_i r_j and unit starting norm for every (vertex, basis pair).
+    With several arrows each vertex sum stops on its own computed tail:
+    block (i, j) of a vertex matrix is X_i (I tensor K_ij) X_j* minus the
+    same with Y, so a bound on K_ij scales by ||X_i|| ||X_j|| + ||Y_i|| ||Y_j||.
     """
     r, X, Y = _tensor_data(G, zdims, points, directions, targets,
                            sum(ydims[v] * zdims[v] for v in G.vertices))
-    N, kv_total = len(X), sum(zdims[v] ** 2 for v in G.vertices)
-
-    @functools.cache
-    def plan():
-        levels, tails = matcore.plan_levels(
-            [(ri * rj, 1.0) for ri in r for rj in r for _ in range(kv_total)],
-            len(G.arrows), series_tol,
-            config.work_budget() if budget is None else budget)
-        xnorm = [matcore.operator_norm(M) for M in X]
-        ynorm = [matcore.operator_norm(M) for M in Y]
-        return levels[::kv_total], np.reshape(tails[::kv_total], (N, N)) * (
-            np.outer(xnorm, xnorm) + np.outer(ynorm, ynorm))
-
+    xn, yn = np.linalg.norm(np.array([X, Y]), 2, axis=(-2, -1))
+    rate = np.outer(r, r)
+    q = (np.outer(xn, xn) + np.outer(yn, yn)) * rate / (1.0 - rate)
     placed = _placed_arrows(G, zdims, points)
     return {v: series_report(*qltt_vertex_matrix(G, zdims, ydims, placed, X, Y, v,
-                                                 plan), tol)
+                                                 q, series_tol, budget), tol)
             for v in G.vertices if zdims[v]}
 
 
@@ -351,7 +340,8 @@ def _placed_arrows(G: Quiver, dims: Grading, points) -> np.ndarray:
 
 
 def qltt_vertex_matrix(G: Quiver, zdims: Grading, ydims: Grading, placed,
-                       directions, targets, v: str, plan):
+                       directions, targets, v: str, q, series_tol=1e-12,
+                       budget=None):
     """Vertex-v matrix of :func:`pick_qltt` and its block tails (None for one
     arrow).
 
@@ -359,7 +349,7 @@ def qltt_vertex_matrix(G: Quiver, zdims: Grading, ydims: Grading, placed,
     (N, arrows, dim, dim).  The path sums K_(i,i'),(j,j') = sum_g Z_i^g e_i'
     e_j'* Z_j^g* (paths g with source v) are the fixed point of
     :func:`picklab.reports.fixed_point` on the stacked unit matrices, with
-    plan giving the levels and the (i, j) tails; the block
+    the (N, N) tail factor q repeated over the basis pairs (i', j'); the block
     X_i (I tensor K) X_j* - Y_i (I tensor K) Y_j* is then summed over the
     (vertex w, copy k) summands Y_w tensor Z_w of Q.
     """
@@ -367,7 +357,10 @@ def qltt_vertex_matrix(G: Quiver, zdims: Grading, ydims: Grading, placed,
     units = np.zeros((N * kv, zdim))
     units[np.arange(N * kv), zdims.offsets[v] + np.tile(np.arange(kv), N)] = 1.0
     units = units.reshape(-1, 1)
-    K, tails = fixed_point(np.repeat(placed, kv, axis=0), units @ units.T, plan)
+    if q is not None:
+        q = np.kron(q, np.ones((kv, kv)))
+    K, tails = fixed_point(np.repeat(placed, kv, axis=0), units @ units.T, q,
+                           series_tol, budget)
     X, Y = np.array(directions), np.array(targets)
     c = X.shape[1]
     pick = np.zeros((N * kv * c, N * kv * c), dtype=np.complex128)
@@ -381,7 +374,7 @@ def qltt_vertex_matrix(G: Quiver, zdims: Grading, ydims: Grading, placed,
                 R[:, :, zdims.block_slice(w)] = F[:, :, cols]
                 R = np.repeat(R, kv, axis=0)
                 pick += sign * matcore.sandwich(R, K, R)
-    return pick, None if tails is None else np.kron(tails, np.ones((kv, kv)))
+    return pick, tails
 
 
 def pick_qltrd(G: Quiver, zdims: Grading, points, directions, targets,
@@ -397,11 +390,16 @@ def pick_qltrd(G: Quiver, zdims: Grading, points, directions, targets,
     It is the fixed point of :func:`picklab.reports.fixed_point` with
     condition (i, i') carrying the letters placed(Z_i)_a* and the direction
     blockdiag_v (X_i* e_i')[v] (target likewise with Y), so the middle is
-    already vertex-diagonal.  The plan multiplies each block's starting
-    norm by dim Z: r_i bounds the row norm of Z_i, which is the adjoint
-    row norm of the letters, not their own row norm ||[Z_a; ...]|| (which
-    may exceed 1).  By trace duality ||Phi^n(M)|| <= ||Phi^n(M)||_1 <=
-    r^(2n) ||M||_1 <= dim Z r^(2n) ||M||.
+    already vertex-diagonal.  r_i bounds the row norm of Z_i, which is the
+    adjoint row norm of the letters, not their own row norm ||[Z_a; ...]||
+    (which may exceed 1).  So the level map Phi contracts block (i, j) by
+    r_i r_j in trace norm, not in spectral norm: for ||U|| <= 1,
+    |tr(U* Phi(B)_ij)| = |tr((Z_i (I tensor U) Z_j*)* B_ij)| <= r_i r_j ||B_ij||_1.
+    After level K the dropped levels sum to at most
+    sum_{n>K} ||C_n,ij||_1 <= r_i r_j / (1 - r_i r_j) ||C_K,ij||_1, and a
+    dim Z-square block has ||.||_1 <= sqrt(dim Z) ||.||_F; the spectral
+    norm of the tail is at most its trace norm, so the tail factor is
+    sqrt(dim Z) r_i r_j / (1 - r_i r_j).
     """
     zdim = zdims.total
     norms, X, Y = _tensor_data(G, zdims, points, directions, targets, zdim)
@@ -418,18 +416,11 @@ def pick_qltrd(G: Quiver, zdims: Grading, points, directions, targets,
         D[:, :, np.arange(zdim), vertex] = np.conj(F)
         return list(D.reshape(N * kappa, zdim, -1))
 
-    M = stacked_middle(letters, vertex_columns(X), vertex_columns(Y))[2]
-    n, r = N * kappa, np.repeat(norms, kappa)
-
-    def plan():
-        levels, tails = matcore.plan_levels(
-            [(ratio, zdim * norm0)
-             for ratio, norm0 in block_entries(M, [zdim] * n, r)],
-            len(G.arrows), series_tol,
-            config.work_budget() if budget is None else budget)
-        return levels, np.reshape(tails, (n, n))
-
-    return series_report(*fixed_point(letters, M, plan), tol)
+    M = stacked_middle(letters, vertex_columns(X), vertex_columns(Y))
+    r = np.repeat(norms, kappa)
+    rate = np.outer(r, r)
+    return series_report(*fixed_point(letters, M, np.sqrt(zdim) * rate / (1.0 - rate),
+                                      series_tol, budget), tol)
 
 
 def pick_qltoa(G: Quiver, xdims: Grading, points, directions, targets,

@@ -6,10 +6,12 @@ other Pick matrix except the Lyapunov criterion, and the only caller of
 the Stein doubling and the level recursion.  Disk, free-ball and quiver
 operator-argument criteria reach it through :func:`fixed_point_report`;
 the quiver tensor and functional-calculus criteria (and so the CP maps)
-call it with plans of their own.  :func:`basis_columns` is the one basis
-expansion of functional-calculus data into operator-argument data, shared
-by the disk and free-ball criteria, the Agler problem and the
-constant-multiplier test."""
+call it with tail factors of their own.  Several-arrow sums stop on the
+norms of the levels they compute, and the work budget caps the levels
+run.  :func:`basis_columns` is the one basis expansion of
+functional-calculus data into operator-argument data, shared by the disk
+and free-ball criteria, the Agler problem and the constant-multiplier
+test."""
 
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config, matcore
-from .errors import ArgumentError, DimensionError
+from .errors import ArgumentError, BudgetError, DimensionError
 from .matcore import PsdVerdict
 
 
@@ -29,16 +31,19 @@ class FeasibilityReport:
     pick        hermitized Pick matrix
     verdict     PSD verdict at the tolerance used
     method      "closed_form" (the kernel formula of :func:`kernel_report`,
-                the Lyapunov criterion, or a finite level sum),
+                the Lyapunov criterion, or a level sum that reached an
+                exactly zero level, as on acyclic quivers),
                 "stein_solve" (one-arrow fixed point by Smith doubling, run
                 until the dropped tail is below rounding) or
-                "truncated_series" (several-arrow level recursion cut at a
-                planned level).  The arrow count decides: a free-ball point
-                with d = 1, or a quiver with one arrow under any of the
-                three quiver criteria (qltt, qltrd, qltoa), is a one-arrow
-                fixed point, so it reports "stein_solve" with tail 0 and
-                never raises BudgetError.  So does the literal unweighted
-                Drury-Arveson sum, d nested one-arrow fixed points.
+                "truncated_series" (several-arrow level recursion stopped at
+                the first level whose computed block norms bound the rest
+                of the series by series_tol).  The arrow count decides: a
+                free-ball point with d = 1, or a quiver with one arrow
+                under any of the three quiver criteria (qltt, qltrd,
+                qltoa), is a one-arrow fixed point, so it reports
+                "stein_solve" with tail 0 and never raises BudgetError.
+                So does the literal unweighted Drury-Arveson sum, d nested
+                one-arrow fixed points.
     tail_bound  certified bound on the dropped series tail (0 unless
                 "truncated_series")
     """
@@ -145,7 +150,7 @@ def basis_columns(points, X, Y, basis_dim=None):
 
 
 def stacked_middle(letters, X, Y):
-    """Shape checks of a fixed-point criterion; X_i, Y_i and M = Xs Xs* - Ys Ys*.
+    """Shape checks of a fixed-point criterion, and M = Xs Xs* - Ys Ys*.
 
     Condition i's directions X_i and targets Y_i map into the space of its
     arrow blocks letters[i], and every condition has the same arrows.  M is
@@ -166,7 +171,7 @@ def stacked_middle(letters, X, Y):
                 f"of the point")
     Xs = matcore.stack_rows(X, "direction")
     Ys = matcore.stack_rows(Y, "target")
-    return X, Y, Xs @ Xs.conj().T - Ys @ Ys.conj().T
+    return Xs @ Xs.conj().T - Ys @ Ys.conj().T
 
 
 def pad_conditions(M, sizes):
@@ -180,40 +185,34 @@ def pad_conditions(M, sizes):
     return Q, keep
 
 
-def block_entries(M, sizes, row_norms):
-    """(r_i r_j, ||M_ij||) per (i, j) block, row-major: the ratio and
-    starting norm of each block's geometric level sum.
-
-    M_ij = X_i X_j* - Y_i Y_j* is the (i, j) block of the stacked middle,
-    condition i having sizes[i] rows.  All N^2 norms are one batched SVD of
-    the blocks of :func:`pad_conditions` (padding leaves a spectral norm
-    unchanged).
-    """
-    Q, _ = pad_conditions(M, sizes)
-    N = len(sizes)
-    n = len(Q) // N
-    norms = np.linalg.norm(Q.reshape(N, n, N, n).swapaxes(1, 2), 2, axis=(-2, -1))
-    r = np.asarray(row_norms, dtype=float)
-    return list(zip(np.outer(r, r).ravel().tolist(), norms.ravel().tolist()))
-
-
-def fixed_point(letters, M, plan):
+def fixed_point(letters, M, q, series_tol=1e-12, budget=None):
     """The fixed point P = M + sum_a L_a P L_a*, L_a = blockdiag_i letters[i][a].
 
     Returns (P, tails).  One arrow is solved by stacked Smith doubling on M
     and the stacked letters as they are; only blocks of unequal size are
     zero-padded by :func:`pad_conditions`, and the padding dropped
-    afterwards.  tails is None and plan is never called.  Several arrows
-    run the level recursion to the largest level of levels, tails = plan(),
-    so only several-arrow inputs pay for the plan's norms or its
-    BudgetError.
+    afterwards.  tails is None, and q, series_tol and budget are unused.
+    Several arrows run :func:`picklab.matcore.level_sum`, which stops at the
+    first level K whose block tails q_ij ||Phi^K(M)_ij||_F are all at most
+    series_tol; q is the (N, N) factor the criterion derives for its
+    letters.  The work budget (default :func:`picklab.config.work_budget`)
+    of B multiplications allows B // arrows levels; if the tails are still
+    above series_tol there, BudgetError carries their spectral norm.
     """
     N, arrows = len(letters), len(letters[0])
-    if arrows > 1:
-        levels, tails = plan()
-        Ls = [matcore.block_diag([L[a] for L in letters]) for a in range(arrows)]
-        return matcore.level_sum(Ls, M, max(levels)), tails
     sizes = [len(L[0]) for L in letters]
+    if arrows > 1:
+        if not series_tol >= 0.0:
+            raise ArgumentError(f"series_tol must be nonnegative, got {series_tol!r}")
+        budget = config.work_budget() if budget is None else budget
+        Ls = [matcore.block_diag([L[a] for L in letters]) for a in range(arrows)]
+        P, tails = matcore.level_sum(Ls, M, sizes, q, series_tol, budget // arrows)
+        if tails.max() > series_tol:
+            raise BudgetError(
+                f"level sum tail is above {series_tol} at level "
+                f"{budget // arrows}, the last that budget {budget} allows",
+                achieved_bound=float(np.linalg.norm(tails, 2)))
+        return P, tails
     if len(set(sizes)) == 1:
         T = np.array([L[0] for L in letters], dtype=np.complex128)
         return matcore.solve_stein(T, M, T), None
@@ -231,16 +230,14 @@ def fixed_point_report(letters, X, Y, row_norms, tol="auto", series_tol=1e-12,
 
     letters[i] lists condition i's arrow blocks, L_a = blockdiag_i
     letters[i][a], M = Xs Xs* - Ys Ys* with Xs = vstack(X_i), and row_norms[i]
-    bounds the block row of letters[i].  Solved by :func:`fixed_point`;
-    several arrows plan their levels from :func:`block_entries`.
+    bounds the block row of letters[i] (None for one arrow).  Solved by
+    :func:`fixed_point`.  A row contraction maps block (i, j) of a level to
+    at most r_i r_j times its spectral norm, so the dropped levels after C_K
+    sum to at most r_i r_j / (1 - r_i r_j) ||C_K,ij|| <= that factor times
+    ||C_K,ij||_F.
     """
-    X, Y, M = stacked_middle(letters, X, Y)
-
-    def plan():
-        levels, tails = matcore.plan_levels(
-            block_entries(M, [len(x) for x in X], row_norms), len(letters[0]),
-            series_tol,
-            config.work_budget() if budget is None else budget)
-        return levels, np.reshape(tails, (len(X), len(X)))
-
-    return series_report(*fixed_point(letters, M, plan), tol)
+    M, q = stacked_middle(letters, X, Y), None
+    if row_norms is not None:
+        rate = np.outer(row_norms, row_norms)
+        q = rate / (1.0 - rate)
+    return series_report(*fixed_point(letters, M, q, series_tol, budget), tol)

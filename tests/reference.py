@@ -8,7 +8,9 @@ accumulations that :func:`picklab.oracle.eval_tensor` and
 :func:`picklab.oracle.eval_quiver_tensor` must match bit for bit.  The
 allocating forms of the matcore kernels (doubling by sandwich products,
 (A + A*)/2, np.linalg.norm(A, 2) and the generator level sum) are the
-references that the copy-free kernels must match bit for bit.
+references that the copy-free kernels must match bit for bit.  The quiver
+operator-argument matrix summed path by path is the exact answer on
+acyclic quivers.
 """
 
 import math
@@ -18,7 +20,7 @@ import numpy as np
 from picklab.cp import LinearMapOnMatrices
 from picklab.errors import DimensionError, DivergenceError
 from picklab.matcore import as_complex_matrix, operator_norm, sandwich, spectral_radius
-from picklab.quiver import path_power
+from picklab.quiver import path_power, paths_up_to
 
 
 def stein_series(A, Q, B, terms: int) -> np.ndarray:
@@ -139,3 +141,20 @@ def level_sum_by_arrows(Ls, M, levels: int) -> np.ndarray:
         cur = sum(L @ cur @ L.conj().T for L in Ls)
         acc += cur
     return acc
+
+
+def qltoa_by_paths(G, dims, points, X, Y, max_length: int) -> np.ndarray:
+    """Block (i, j) of :func:`picklab.quiver.pick_qltoa` as the sum over the
+    paths g (source s, target t) of length <= max_length of
+    T_i^g (X_i[t] X_j[t]* - Y_i[t] Y_j[t]*) T_j^g*, placed at vertex s."""
+    N, n = len(points), dims.total
+    P = np.zeros((N * n, N * n), dtype=np.complex128)
+    for g in paths_up_to(G, max_length):
+        s, t = dims.block_slice(g.source), g.target
+        powers = [path_power(p, g, dims) for p in points]
+        for i in range(N):
+            for j in range(N):
+                M = X[i][t] @ X[j][t].conj().T - Y[i][t] @ Y[j][t].conj().T
+                P[i * n:(i + 1) * n, j * n:(j + 1) * n][s, s] += (
+                    powers[i] @ M @ powers[j].conj().T)
+    return (P + P.conj().T) / 2.0

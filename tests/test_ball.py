@@ -147,7 +147,7 @@ class TestPickNcLtoa:
             Ls = [matcore.block_diag([Zi.mats[k], Zj.mats[k]]) for k in range(d)]
             M = np.zeros((ni + nj, ni + nj), dtype=complex)
             M[:ni, ni:] = M0
-            stacked = matcore.level_sum(Ls, M, L)
+            stacked = matcore.level_sum(Ls, M, [ni, nj], np.ones((2, 2)), 0.0, L)[0]
             assert np.max(np.abs(stacked[:ni, ni:] - direct)) <= 1e-12
 
     def test_tail_bound_honored(self):

@@ -235,7 +235,28 @@ class TestExitCodes:
         assert code == 2
         assert doc["verdict"] == "unknown"
         assert doc["error"]["code"] == "budget"
-        assert doc["error"]["achieved_bound"] == pytest.approx(1.0)
+        # budget 2 over 2 arrows allows level 1: M = 1 and r^2 = 1/2, so the
+        # bound is r^2 / (1 - r^2) * ||C_1|| = 1 * 1/2
+        assert doc["error"]["achieved_bound"] == pytest.approx(0.5)
+
+    def test_max_level_caps_the_levels_summed(self, tmp_path, capsys):
+        # 2 conditions, d = 2, 2 x 2 blocks of row norm 0.5: the sum reaches
+        # series_tol at level 21, whatever the number of condition pairs
+        s = 0.5 / np.sqrt(2)
+        points = [[s * np.eye(2), s * np.eye(2)],
+                  [s * np.diag([1, -1]), s * np.diag([1j, 1])]]
+        p = tmp_path / "req.json"
+        mats = serialize.matrix_to_json
+        p.write_text(json.dumps({"schema_version": "1", "setting": "ball.nc_ltoa",
+                                 "payload": {
+            "operator_points": [[mats(M) for M in Z] for Z in points],
+            "directions": [mats(k * np.eye(2)) for k in (1, 2)],
+            "targets": [mats(k * np.eye(2)) for k in (0.1, 0.2)]}}))
+        code, doc = run_cli(["check", str(p), "--max-level", "21"], capsys)
+        assert (code, doc["verdict"], doc["method"]) == (0, "feasible",
+                                                         "truncated_series")
+        code, doc = run_cli(["check", str(p), "--max-level", "20"], capsys)
+        assert (code, doc["verdict"], doc["error"]["code"]) == (2, "unknown", "budget")
 
     def test_invalid_budget_is_data_error(self, capsys, monkeypatch):
         for raw in ("0", "-3", "many"):

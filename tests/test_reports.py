@@ -1,7 +1,6 @@
 """The closed-form Pick builder reports.kernel_report and the criteria that
 only assemble data for it: disk FOV/LT/RT, Drury-Arveson FOV/LT and the
-constant-multiplier test; the batched block norms that plan the fixed
-point's level sums; and empty input, zero-dimensional blocks and a zero
+constant-multiplier test; and empty input, zero-dimensional blocks and a zero
 basis dimension to the fixed-point criteria, CP maps and other public
 calls."""
 
@@ -152,21 +151,3 @@ def test_zero_basis_dim_rejected(fn, args):
     with pytest.raises(ArgumentError):
         fn(*args, basis_dim=0)
 
-
-def test_block_entries_match_per_block_norms():
-    # conditions of unequal size: one batched norm on zero-padded blocks
-    rng = np.random.default_rng(11)
-    sizes = [1, 3, 2, 3]
-    X = [cg(rng, k, 2) for k in sizes]
-    Y = [cg(rng, k, 3) for k in sizes]
-    Xs, Ys = np.vstack(X), np.vstack(Y)
-    M = Xs @ Xs.conj().T - Ys @ Ys.conj().T
-    r = rng.uniform(0.1, 0.9, len(sizes))
-    got = reports.block_entries(M, sizes, r)
-    ref = [(r[i] * r[j],
-            matcore.operator_norm(X[i] @ X[j].conj().T - Y[i] @ Y[j].conj().T))
-           for i in range(len(sizes)) for j in range(len(sizes))]
-    assert len(got) == len(ref)
-    for (ratio, norm0), (ratio_ref, norm_ref) in zip(got, ref):
-        assert ratio == ratio_ref
-        assert abs(norm0 - norm_ref) <= 1e-13 * norm_ref
