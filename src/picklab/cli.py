@@ -26,6 +26,8 @@ import sys
 import time
 from importlib import import_module, resources
 
+import numpy as np
+
 from . import config, matcore
 from . import serialize as ser
 from .errors import ArgumentError, BudgetError, PicklabError
@@ -528,7 +530,9 @@ def _read_map(path: str):
     """A `choi`/`cpcheck` map.  Past the schema, `unit_images` must be n x n
     images of size m x m (n = in_dim, m = out_dim); the shallowest wrong
     level, `/unit_images`, `/unit_images/i` or image `/unit_images/i/j`
-    with its rows, is a data error at its JSON pointer."""
+    with its rows, is a data error at its JSON pointer.  So is the first
+    image with an entry that is not finite (Python's JSON reader accepts
+    NaN and Infinity)."""
     from . import cp
 
     doc, _ = _read_json(path, "map")
@@ -543,8 +547,13 @@ def _read_map(path: str):
     if wrong:
         raise _DataError(f"map does not validate: unit_images must be {n} x {n} "
                          f"images of size {m} x {m}", wrong[0])
-    return cp.LinearMapOnMatrices(
-        n, m, [[ser.matrix_from_json(image) for image in row] for row in images])
+    mats = [[ser.matrix_from_json(image) for image in row] for row in images]
+    wrong = [f"/unit_images/{i}/{j}" for i, row in enumerate(mats)
+             for j, M in enumerate(row) if not np.isfinite(M).all()]
+    if wrong:
+        raise _DataError("map does not validate: unit images must be finite",
+                         wrong[0])
+    return cp.LinearMapOnMatrices(n, m, mats)
 
 
 def cmd_choi(args):

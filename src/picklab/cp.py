@@ -12,6 +12,9 @@ nothing themselves but embed Pick builders: the adjoint-side disk map the
 fixed point of :func:`picklab.disk.pick_ltrd`, the disk map the vertex
 matrix of :func:`picklab.quiver.qltt_vertex_matrix` on the one-loop quiver,
 and the quiver map the vertex matrices of :func:`picklab.quiver.pick_qltt`.
+The structural zeros are whole rows: of the (N n)(N m) Choi rows of such a
+map on N conditions only N n m carry data, and the eigenvalue step deflates
+the rest, so :func:`cp_check` decides at Pick-matrix size.
 """
 
 from __future__ import annotations
@@ -45,6 +48,8 @@ class LinearMapOnMatrices:
         if arr.shape != (n, n, m, m):
             raise DimensionError(
                 f"unit image array has shape {arr.shape}, expected {(n, n, m, m)}")
+        if not np.isfinite(arr).all():
+            raise DimensionError("unit images must be finite")
         self.unit_images = arr
 
     @classmethod
@@ -72,12 +77,13 @@ class LinearMapOnMatrices:
         return np.tensordot(A, self.unit_images, axes=([0, 1], [0, 1]))
 
     def preserves_adjoints(self) -> bool:
-        """phi(A*) == phi(A)* for all A, checked on the matrix units to
-        1e-12 of their largest modulus (at least 1)."""
+        """phi(A*) == phi(A)* for all A, checked on the matrix units: every
+        entry of phi(e_ij) - phi(e_ji)* is at most 1e-12 of the units'
+        largest modulus (at least 1), in one max-abs pass."""
         U = self.unit_images
         scale = max(float(np.max(np.abs(U))), 1.0)
-        return np.allclose(U, U.conj().transpose(1, 0, 3, 2), rtol=0.0,
-                           atol=1e-12 * scale)
+        gap = float(np.max(np.abs(U - U.conj().transpose(1, 0, 3, 2))))
+        return gap <= 1e-12 * scale
 
 
 @dataclass(frozen=True)
@@ -128,6 +134,10 @@ def condition_compression(phi: LinearMapOnMatrices, conditions: int
 def cp_check(phi: LinearMapOnMatrices, tol="auto") -> CpVerdict:
     """Complete positivity via the Choi matrix; finite case is exact.
 
+    The verdict is :func:`picklab.matcore.psd_verdict` on the full Choi
+    matrix: its zero rows are deflated, so they add exact zero eigenvalues
+    (choi_min_eig is at most 0 when there are any) and LAPACK runs only on
+    the rows that carry data; the auto tolerance uses the full dimension.
     A negative verdict carries Choi's witness: at amplification level n the
     PSD input Omega = sum_ab e_ab tensor e_ab (rank one) has the Choi matrix
     as its image, so the image's smallest eigenvalue is the Choi one.
@@ -202,9 +212,11 @@ def build_phi_star_disk(operator_points, directions, targets) -> LinearMapOnMatr
 def _condition_blockwise_map(stacked, N: int, n: int, m: int) -> LinearMapOnMatrices:
     """Map whose unit e_(i,a),(j,b) goes to block (i, j), holding the
     ((i, a), (j, b)) m-block of the stacked matrix; zero elsewhere."""
-    blocks = stacked.reshape(N, n, m, N, n, m)
-    eye = np.eye(N)
-    images = np.einsum("iaxjby,ik,jl->iajbkxly", blocks, eye, eye)
+    blocks = np.reshape(stacked, (N, n, m, N, n, m))
+    images = np.zeros((N, n, N, n, N, m, N, m), dtype=np.complex128)
+    i, j = np.arange(N)[:, None], np.arange(N)[None, :]
+    # mixed advanced indices put the (i, j) axes first: (i, j, a, b, x, y)
+    images[i, :, j, :, i, :, j, :] = blocks.transpose(0, 3, 1, 4, 2, 5)
     return LinearMapOnMatrices(N * n, N * m, images.reshape(N * n, N * n, N * m, N * m))
 
 

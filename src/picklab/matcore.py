@@ -64,20 +64,35 @@ def hermitize(M) -> np.ndarray:
 
 
 def min_eigenvalue(H) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
+    """Smallest eigenvalue of a Hermitian matrix; rows of exact zeros are
+    deflated as in :func:`_eigenvalues`."""
     return float(_eigenvalues(hermitize(H))[0])
 
 
 def _eigenvalues(A: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a matrix that is already Hermitian."""
-    if A.shape[0] == 0:
+    """Ascending eigenvalues of a matrix that is already Hermitian.
+
+    A row of exact zeros of a Hermitian matrix is also a zero column, so its
+    unit vector is an eigenvector for the exact eigenvalue 0.  Such rows are
+    deflated: LAPACK runs on the rows that carry data, and one exact 0 per
+    zero row joins that spectrum.  With no zero row this is
+    np.linalg.eigvalsh(A) bit for bit; with no nonzero row LAPACK is not
+    called.  (The structural zeros of a Choi matrix are such rows.)
+    """
+    n = A.shape[0]
+    if n == 0:
         raise DimensionError("empty matrix has no eigenvalues")
     if not np.isfinite(A).all():
         raise DimensionError("matrix entries must be finite")
+    live = A.any(axis=1)
+    k = int(np.count_nonzero(live))
     try:
-        return np.linalg.eigvalsh(A)
+        if k == n:
+            return np.linalg.eigvalsh(A)
+        lam = np.linalg.eigvalsh(A[np.ix_(live, live)]) if k else np.zeros(0)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise NumericError(f"Hermitian eigensolver failed to converge: {exc}")
+    return np.insert(lam, np.searchsorted(lam, 0.0), np.zeros(n - k))
 
 
 def operator_norm(M) -> float:
@@ -110,9 +125,12 @@ def is_psd(H, tol="auto") -> PsdVerdict:
 
 def psd_verdict(A: np.ndarray, tol="auto") -> PsdVerdict:
     """:func:`is_psd` for a matrix that is already Hermitian (e.g. the output
-    of :func:`hermitize`); it is not copied or symmetrized again.  The auto
-    tolerance is the backward error dim * eps * ||A||, with the spectral norm
-    max(|lam_min|, |lam_max|) read off the same eigenvalues."""
+    of :func:`hermitize`); it is not copied or symmetrized again.  Rows of
+    exact zeros are deflated (:func:`_eigenvalues`), so they contribute exact
+    zero eigenvalues.  The auto tolerance is the backward error
+    dim * eps * ||A||, dim the full dimension of A, zero rows included, with
+    the spectral norm max(|lam_min|, |lam_max|) read off the same
+    eigenvalues."""
     try:
         valid = tol == "auto" or 0.0 <= float(tol) < math.inf
     except (TypeError, ValueError):

@@ -169,6 +169,23 @@ class TestExitCodes:
             assert (error["code"], error["path"]) == ("data", path)
             assert captured.err == ""
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_map_with_non_finite_entry_reports_its_path(self, bad, tmp_path,
+                                                        capsys):
+        # Python's JSON reader accepts these; the first such image is named
+        p = tmp_path / "map.json"
+        nonfinite = f"[[[{bad}, 0.0]]]"
+        p.write_text('{"schema_version": "1", "in_dim": 2, "out_dim": 1, '
+                     f'"unit_images": [[{json.dumps(_ONE)}, {json.dumps(_ONE)}], '
+                     f'[{nonfinite}, {nonfinite}]]}}')
+        for cmd in ("choi", "cpcheck"):
+            code = cli.main([cmd, str(p)])
+            captured = capsys.readouterr()
+            assert code == 65
+            error = json.loads(captured.out)["error"]
+            assert (error["code"], error["path"]) == ("data", "/unit_images/1/0")
+            assert captured.err == ""
+
     @pytest.mark.parametrize("argv", [
         ["sample", "--kind", "disk.poly", "--degree", "2", "--rows", "0"],
         ["sample", "--kind", "disk.poly", "--degree", "2", "--cols", "-1"],

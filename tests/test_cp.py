@@ -343,3 +343,54 @@ def test_disk_builders_check_points(build):
         build([good, np.array([[1.0, 5.0], [0.0, 0.2]])], X, X)
     with pytest.raises(DimensionError, match="share one square dimension"):
         build([good, 0.5 * np.eye(3)], X, X)
+
+
+def _cp_route_data(N, g, feasible, seed):
+    """Points of norm 0.5, directions X and targets X S(Z) of a disk
+    polynomial S; spoiled data have Y_0 = 1.5 X_0."""
+    rng = np.random.default_rng(seed)
+    s = oracle.sample_contractive_poly(1, 1, 2, "disk", seed=seed)
+    Z = [contraction(rng, g) for _ in range(N)]
+    X = [cg(rng, g, g) for _ in range(N)]
+    Y = [X[i] @ oracle.eval_tensor(s, Z[i]) for i in range(N)]
+    if not feasible:
+        Y[0] = 1.5 * X[0]
+    return Z, X, Y
+
+
+@pytest.mark.parametrize("build", [cp.build_phi_disk, cp.build_phi_star_disk])
+def test_cp_check_decomposes_only_the_rows_with_data(build, monkeypatch):
+    # (N, g) = (4, 3): the Choi matrix has (N g)^2 = 144 rows, of which
+    # N g^2 = 36 are not structural zeros
+    phi = build(*_cp_route_data(4, 3, True, seed=11))
+    shapes = []
+    real = np.linalg.eigvalsh
+
+    def recording(A):
+        shapes.append(A.shape)
+        return real(A)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    assert cp.choi_matrix(phi).shape == (144, 144)
+    assert cp.cp_check(phi).is_cp
+    assert shapes == [(36, 36)]
+
+
+@pytest.mark.parametrize("N, g", [(2, 2), (4, 2), (4, 3)])
+@pytest.mark.parametrize("feasible", [True, False])
+@pytest.mark.parametrize("build", [cp.build_phi_disk, cp.build_phi_star_disk])
+def test_cp_verdict_is_the_embedded_pick_verdict(build, feasible, N, g):
+    phi = build(*_cp_route_data(N, g, feasible, seed=12 + N + g))
+    v = cp.cp_check(phi)
+    pick, leak = cp.condition_compression(phi, N)
+    assert leak == 0.0
+    assert v.is_cp == matcore.is_psd(pick).is_psd == feasible
+    assert abs(v.choi_min_eig - min(matcore.min_eigenvalue(pick), 0.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_unit_images_rejected(bad):
+    images = np.zeros((1, 1, 2, 2), dtype=complex)
+    images[0, 0, 1, 0] = bad
+    with pytest.raises(DimensionError, match="finite"):
+        LinearMapOnMatrices(1, 2, images)

@@ -105,6 +105,47 @@ def test_psd_verdicts_hermitize_once(monkeypatch):
     assert rep.min_eigenvalue == matcore.min_eigenvalue(rep.pick)
 
 
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_zero_rows_are_deflated_to_exact_zeros(n):
+    # a zero row of a Hermitian matrix is a zero column: its unit vector is
+    # an eigenvector for 0, and LAPACK sees only the rows that carry data
+    rng = np.random.default_rng(40 + n)
+    for k in sorted({1, n // 2, n - 1}):
+        B = matcore.hermitize(rng.standard_normal((n - k, n - k))
+                              + 1j * rng.standard_normal((n - k, n - k)))
+        live = np.sort(rng.choice(n, n - k, replace=False))
+        A = np.zeros((n, n), dtype=complex)
+        A[np.ix_(live, live)] = B
+        lam = matcore._eigenvalues(A)
+        expect = np.sort(np.concatenate([np.linalg.eigvalsh(B), np.zeros(k)]))
+        norm = np.linalg.norm(A, 2)
+        assert np.max(np.abs(lam - expect)) <= 1e-13 * norm
+        assert np.count_nonzero(lam == 0.0) >= k
+        assert matcore.min_eigenvalue(A) == lam[0]
+        # the auto tolerance keeps the full dimension, zero rows included
+        v = matcore.psd_verdict(A)
+        assert v.min_eigenvalue == lam[0]
+        assert v.tolerance_used == n * np.finfo(float).eps * max(-lam[0], lam[-1])
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_all_zero_matrix_is_psd_without_lapack(n, monkeypatch):
+    def refuse(A):
+        raise AssertionError("eigvalsh called on a zero matrix")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    v = matcore.is_psd(np.zeros((n, n)))
+    assert v.is_psd and v.min_eigenvalue == 0.0 and v.tolerance_used == 0.0
+    assert matcore.min_eigenvalue(np.zeros((n, n))) == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 3, 12])
+def test_no_zero_row_is_plain_eigvalsh(n):
+    rng = np.random.default_rng(60 + n)
+    A = matcore.hermitize(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    assert np.array_equal(matcore._eigenvalues(A), np.linalg.eigvalsh(A))
+
+
 def test_is_psd_verdict_invariant_and_monotone():
     rng = np.random.default_rng(3)
     H = matcore.hermitize(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
