@@ -8,21 +8,12 @@ Pick matrices, up to reported tails).  Polynomial samples of every kind
 share one draw, scale and return path; a kind only picks keys and shapes.
 
 Certification routes
-  disk polynomials   sup-norm on the circle via a fine grid of G points plus
-                     a Lipschitz correction L pi / G, L = sum_n n ||S_n||
-                     (the multiplier norm equals the sup norm).  The grid
-                     maximum comes from two passes of direct sums over the
-                     keys: pass 1 takes every 8th point, pass 2 only the
-                     cells (the points within 4 grid steps of a coarse
-                     point) whose coarse value plus L * 4 (2 pi / G) reaches
-                     the coarse maximum, less 1e-12 relative for rounding.
-                     Every skipped point is provably below the coarse
-                     maximum, so the certificate is that of the full grid.
-                     When every cell is hot (high degree), pass 2 costs
-                     keys x G multiply-adds per entry.  Each point's norm
-                     is the top eigenvalue of a small Gram; rounding (about
-                     1e-16 relative) sits far below the Lipschitz term
-                     (about 1e-3 relative)
+  disk polynomials   sup-norm on the circle (the multiplier norm equals
+                     it) from one FFT: the maximum of ||S|| over N = 72 *
+                     2^ceil(log2 d) roots of unity for degree d, divided by
+                     cos(pi d / N) >= cos(pi / 72) (Bernstein-Szego), plus
+                     a derived rounding term (1e-13 to 3e-12 relative
+                     from degree 1 to 512)
   Blaschke products  inner functions have multiplier norm exactly |c|
   ball / quiver      triangle inequality over homogeneous levels; creation
                      operators of a fixed level have orthogonal ranges, so
@@ -40,9 +31,10 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from . import ball as ball_mod
-from . import matcore
+from . import config, matcore
 from . import quiver as quiver_mod
-from .errors import ArgumentError, DimensionError, DomainError, ShapeError
+from .errors import (ArgumentError, BudgetError, DimensionError, DomainError,
+                     ShapeError)
 from .matcore import as_complex_matrix
 from .quiver import Grading, Quiver
 
@@ -83,14 +75,6 @@ def complex_gaussian(rng, *shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
 
 
-@functools.lru_cache(maxsize=4)
-def _roots_of_unity(grid: int) -> np.ndarray:
-    """exp(2 pi i k / grid) for k = 0..grid-1, read-only (shared by callers)."""
-    roots = np.exp(2j * np.pi * np.arange(grid) / grid)
-    roots.flags.writeable = False
-    return roots
-
-
 def _top_gram_eigenvalues(vals: np.ndarray) -> np.ndarray:
     """Squared operator norm of each vals[:, :, k]: the top eigenvalue of the
     min(p, q)-square Gram, in closed form for sizes 1 and 2."""
@@ -107,68 +91,82 @@ def _top_gram_eigenvalues(vals: np.ndarray) -> np.ndarray:
     return (a + c) / 2 + np.hypot((a - c) / 2, np.abs(off))
 
 
-# Pass 1 of disk_sup_norm_bound evaluates every _COARSE-th grid point; the
-# cell of a coarse point is the grid points from _COARSE/2 steps before it to
-# _COARSE/2 - 1 after it, round the circle.
-_COARSE = 8
-_CELL_OFFSETS = np.arange(-_COARSE // 2, _COARSE // 2)
-
-
-def disk_sup_norm_bound(coefficients: Dict[int, np.ndarray], grid: int = 4096) -> float:
+def disk_sup_norm_bound(coefficients: Dict[int, np.ndarray]) -> float:
     """Certified upper bound on max_{|z|=1} ||S(z)|| for a matrix polynomial.
 
-    Grid maximum of ||S(e^(i theta))|| over theta = 2 pi k / grid, plus a
-    Lipschitz correction L * (pi / grid), L = sum_n n ||S_n||, which
-    dominates the derivative of theta -> ||S(e^(i theta))||.  The norm at a
-    point is the square root of the top eigenvalue of the min(p, q)-square
-    Gram; its rounding, about 1e-16 relative, is far below the Lipschitz
-    term, about 1e-3 relative at the default grid.
+    S of degree d is evaluated at the N-th roots of unity w^k, w = exp(2 pi
+    i / N), by one unnormalized inverse FFT of the zero-padded (p, q, N)
+    coefficient table, with N = 72 * 2^ceil(log2 d) (N = 1 for d = 0, which
+    is then exact).  The result is (max_k ||S(w^k)|| + e_round) / cos(pi d / N).
 
-    The grid maximum takes two passes of direct sums over the keys, against
-    a cached table of roots of unity w = exp(2 pi i / grid).  Pass 1
-    evaluates every 8th point.  The cell of a coarse point is the points
-    from 4 steps before it to 3 after it, round the circle, so every point
-    lies within 4 (2 pi / grid) of its cell's coarse point.  Pass 2
-    evaluates only the cells whose coarse value plus L * 4 (2 pi / grid)
-    reaches the coarse maximum, less a 1e-12 relative margin for rounding;
-    it reuses pass 1's powers, S(w^(8h + o)) = sum_n (S_n w^(o n)) w^(8 h n).
-    Every skipped point is then below the coarse maximum, so the result is
-    the full grid's up to rounding.  When every cell is hot, as at high
-    degree, pass 2 costs keys x grid multiply-adds per entry.
+    Why the grid maximum certifies the sup norm: for unit vectors u, v and a
+    phase psi, T(theta) = Re(e^(i psi) u* S(e^(i theta)) v) is a real
+    trigonometric polynomial of degree <= d with ||T||_inf <= ||S||_inf, and
+    for the maximising (u, v, psi, theta*) it attains ||S||_inf at theta*.
+    Bernstein-Szego (T'^2 + d^2 T^2 <= d^2 ||T||^2) then gives
+    T(theta) >= ||S||_inf cos(d (theta - theta*)) for |theta - theta*| <=
+    pi / d.  The nearest grid point lies within pi / N of theta*, so the grid
+    maximum is at least ||S||_inf cos(pi d / N); and 1 / cos(pi d / N) - 1 <=
+    sec(pi / 72) - 1 < 9.6e-4 at every degree.
 
-    Keys must be integers in [0, grid) (ArgumentError), and every
-    coefficient must have the same shape (ShapeError), at least 1 x 1
-    (DimensionError).
+    Rounding, with u = 2^-53 and m = min(p, q), e_round is the sum of:
+      the transform  N = 2^(j+3) 3^2 runs as passes of radix 2, 3, 4 and 8,
+                     each a permuted block of r-point DFTs (norm sqrt(r))
+                     after twiddles.  A pass of radix r has normwise
+                     relative error below 16 u log2(r) (Higham, Accuracy and
+                     Stability, section 24.1: eta = mu + gamma_4 (sqrt 2 +
+                     mu), about 6 u, per radix-2 level with correctly
+                     rounded twiddles), so the transform's is below 16 u
+                     log2(N).  By Parseval, summed over the p q entries,
+                     the error at any one point is at most 16 u log2(N)
+                     sqrt(N) ||C||_F, ||C||_F the Frobenius norm of all
+                     coefficients.  Against extended-precision direct sums
+                     the measured error stays below 0.2 u log2(N) sqrt(N)
+                     ||C||_F up to degree 512.
+      the norm       the Gram entries carry gamma_(2 max(p, q) + 2) of
+                     |V| |V|*, whose norm is at most the trace, and the top
+                     eigenvalue (closed form for m <= 2, LAPACK beyond, its
+                     backward error taken as (m + 4) u ||G||) adds the
+                     rest: within (2 (p + q) + 8) u of the trace, and
+                     trace <= m ||S(w^k)||^2, so each norm is within
+                     (2 (p + q) + 8) m u relative.  The square root,
+                     cos(pi d / N) and the division add 5 u; both are
+                     covered by 4 (p + q + 4) m u times the grid maximum.
+    The rounding term is 1e-13 to 3e-13 relative at the necessity sizes
+    (degree <= 4) and 3e-12 at degree 512.
+
+    Keys must be nonnegative integers (ArgumentError), and every coefficient
+    must have the same shape (ShapeError), at least 1 x 1 (DimensionError).
+    The certificate holds p q N transform entries and m^2 N Gram entries;
+    over :func:`picklab.config.work_budget` it raises BudgetError before
+    allocating either.
     """
     if not coefficients:
         return 0.0
     for n in coefficients:
-        if not isinstance(n, (int, np.integer)) or not 0 <= n < grid:
-            raise ArgumentError(
-                f"coefficient key {n!r} is not an integer in [0, {grid})")
-    ns = np.array(sorted(coefficients))
-    stack = [as_complex_matrix(coefficients[n]) for n in ns]
-    shapes = {C.shape for C in stack}
+        if not isinstance(n, (int, np.integer)) or n < 0:
+            raise ArgumentError(f"coefficient key {n!r} is not a nonnegative integer")
+    coeffs = {int(n): as_complex_matrix(C) for n, C in coefficients.items()}
+    shapes = {C.shape for C in coeffs.values()}
     if len(shapes) > 1:
         raise ShapeError(f"coefficients must share one shape, got {sorted(shapes)}")
-    stack = np.stack(stack)
-    keys, p, q = stack.shape
+    (p, q), = shapes
     if not p * q:
         raise DimensionError(f"coefficients must be at least 1 x 1, got {p} x {q}")
-    entries = stack.reshape(keys, p * q).T  # column i holds S_(ns[i])
-    roots = _roots_of_unity(grid)
-    powers = roots[(ns[:, None] * np.arange(0, grid, _COARSE)) % grid]
-    # the coefficients ride along as extra points, for the Lipschitz term
-    norms = np.sqrt(_top_gram_eigenvalues(
-        np.concatenate([entries @ powers, entries], axis=1).reshape(p, q, -1)))
-    lipschitz = float(ns @ norms[-keys:])
-    best = float(norms[:-keys].max())
-    reach = best * (1 - 1e-12) - lipschitz * (_COARSE // 2) * 2 * np.pi / grid
-    hot = np.flatnonzero(norms[:-keys] >= reach)
-    twisted = entries[:, None, :] * roots[(_CELL_OFFSETS[:, None] * ns) % grid]
-    vals = twisted.reshape(-1, keys) @ powers[:, hot]
-    top = _top_gram_eigenvalues(vals.reshape(p, q, -1)).max()
-    return max(best, math.sqrt(float(top))) + lipschitz * np.pi / grid
+    degree = max(coeffs)
+    N = 72 << (degree - 1).bit_length() if degree else 1
+    work = (p * q + min(p, q) ** 2) * N
+    if work > config.work_budget():
+        raise BudgetError(f"certifying degree {degree} at {p} x {q} takes {work} "
+                          f"grid entries, over the work budget")
+    table = np.zeros((p, q, N), dtype=np.complex128)
+    for n, C in coeffs.items():
+        table[:, :, n] = C
+    values = np.fft.ifft(table, axis=-1, norm="forward")  # S(w^k), unscaled
+    top = math.sqrt(float(_top_gram_eigenvalues(values).max()))
+    e_round = (16 * math.log2(N) * math.sqrt(N) * float(np.linalg.norm(table))
+               + 4 * (p + q + 4) * min(p, q) * top) * 2.0 ** -53
+    return (top + e_round) / math.cos(math.pi * degree / N)
 
 
 def free_norm_bound(sample_coeffs, level_of, source_of) -> float:

@@ -256,6 +256,18 @@ class TestExitCodes:
         # bound is r^2 / (1 - r^2) * ||C_1|| = 1 * 1/2
         assert doc["error"]["achieved_bound"] == pytest.approx(0.5)
 
+    def test_disk_sample_over_budget_is_unknown(self, capsys, monkeypatch):
+        # degree 2 certifies on 144 points: (3600 + 3600) * 144 grid entries
+        # at 60 x 60, charged before the grid is allocated
+        monkeypatch.setenv("PICKLAB_BUDGET", "100000")
+        code, doc = run_cli(["sample", "--kind", "disk.poly", "--degree", "2",
+                             "--rows", "60", "--cols", "60"], capsys)
+        assert code == 2
+        assert doc["error"]["code"] == "budget"
+        code, doc = run_cli(["sample", "--kind", "disk.poly", "--degree", "2",
+                             "--rows", "10", "--cols", "10"], capsys)
+        assert code == 0 and doc["norm_bound"] == pytest.approx(0.95)
+
     def test_max_level_caps_the_levels_summed(self, tmp_path, capsys):
         # 2 conditions, d = 2, 2 x 2 blocks of row norm 0.5: the sum reaches
         # series_tol at level 21, whatever the number of condition pairs

@@ -1,11 +1,13 @@
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from picklab import ball, matcore, oracle, serialize
 from picklab import quiver as qv
-from picklab.errors import ArgumentError, DomainError, ShapeError
+from picklab.errors import ArgumentError, BudgetError, DomainError, ShapeError
 from picklab.quiver import Grading, QuiverPoint
 from reference import kron_eval_quiver_tensor, kron_eval_tensor
 
@@ -140,44 +142,65 @@ class TestContractivePoly:
         assert norm_mult <= s.norm_bound + 1e-10
 
 
-def svd_sup_norm_bound(coefficients, grid=4096):
-    """The certificate spelled out: grid maximum of the largest singular
-    value at e^(i theta_k), plus the Lipschitz term."""
-    theta = 2 * np.pi * np.arange(grid) / grid
-    vals = sum(np.exp(1j * n * theta)[:, None, None] * np.asarray(C)
-               for n, C in coefficients.items())
-    best = np.linalg.svd(vals, compute_uv=False)[:, 0].max()
-    lipschitz = sum(n * np.linalg.norm(C, 2) for n, C in coefficients.items())
-    return best + lipschitz * np.pi / grid
+def circle_max(coefficients, points):
+    """Largest singular value of S over the `points`-th roots of unity, by
+    direct sums (angles reduced exactly mod 2 pi) and np.linalg.svd."""
+    k = np.arange(points)
+    vals = sum(np.exp(2j * np.pi * (n * k % points) / points)[:, None, None]
+               * np.asarray(C, dtype=complex) for n, C in coefficients.items())
+    return float(np.linalg.svd(vals, compute_uv=False)[:, 0].max())
+
+
+def certificate_grid(coefficients):
+    """(N, d): the documented grid, 72 * 2^ceil(log2 d) roots for degree d."""
+    d = max(coefficients)
+    return (72 * 2 ** math.ceil(math.log2(d)) if d else 1), d
+
+
+def reference_bound(coefficients):
+    """The certificate spelled out: the grid maximum over cos(pi d / N)."""
+    N, d = certificate_grid(coefficients)
+    return circle_max(coefficients, N) / math.cos(math.pi * d / N)
+
+
+def rounding_term(coefficients, top):
+    """The documented rounding term, at grid maximum `top`."""
+    N, _ = certificate_grid(coefficients)
+    p, q = np.shape(next(iter(coefficients.values())))
+    fro = math.sqrt(sum(np.sum(np.abs(np.asarray(C)) ** 2)
+                        for C in coefficients.values()))
+    return (16 * math.log2(N) * math.sqrt(N) * fro
+            + 4 * (p + q + 4) * min(p, q) * top) * 2.0 ** -53
 
 
 class TestDiskSupNormBound:
-    # Pass 2 must find the full grid's maximum whichever cells pass 1 rules
-    # out, so every case compares with the bound over all grid points.
-    @staticmethod
-    def _matches_reference(coeffs, grid=4096):
-        ref = svd_sup_norm_bound(coeffs, grid)
-        return abs(oracle.disk_sup_norm_bound(coeffs, grid) - ref) <= 1e-13 * ref
+    # Every case checks the certificate three ways: it is the documented
+    # grid maximum over cos(pi d / N) up to its rounding term, it dominates
+    # the maximum over 2^16 points of the circle, and it exceeds that
+    # maximum by at most sec(pi / 72) - 1 < 1e-3 plus rounding.
+    FINE = 2 ** 16
+
+    def _check(self, coeffs, sup=None):
+        bound = oracle.disk_sup_norm_bound(coeffs)
+        ref = reference_bound(coeffs)
+        e_round = rounding_term(coeffs, ref)
+        assert abs(bound - ref) <= 2 * e_round + 1e-12 * ref
+        fine = circle_max(coeffs, self.FINE) if sup is None else sup
+        assert fine <= bound <= (1 + 1e-3) * (fine + e_round)
 
     @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (2, 3), (3, 2), (3, 3),
                                        (1, 4), (4, 1)])
     def test_matches_svd_reference(self, shape):
         rng = np.random.default_rng(sum(shape) * 10 + shape[0])
         for degree in range(6):
-            coeffs = {n: cg(rng, *shape) for n in range(degree + 1)}
-            assert self._matches_reference(coeffs)
+            self._check({n: cg(rng, *shape) for n in range(degree + 1)})
 
     def test_sparse_keys_and_small_grid(self):
+        # low degrees give the smallest grids, 72 and 144 points
         rng = np.random.default_rng(3)
-        coeffs = {1: cg(rng, 2, 2), 4: cg(rng, 2, 2)}
-        for grid in (5, 16, 4096):
-            assert self._matches_reference(coeffs, grid)
-        # grids that 8 does not divide: the last cell wraps onto the first
-        for grid in (5, 12, 4097, 4100):
-            for shape in [(1, 1), (2, 2), (3, 2)]:
-                for keys in [(0, 1), (0, 2, 4)]:
-                    assert self._matches_reference(
-                        {n: cg(rng, *shape) for n in keys}, grid)
+        for shape in [(1, 1), (2, 2), (3, 2)]:
+            for keys in [(1,), (0, 1), (0, 2), (2,), (1, 4)]:
+                self._check({n: cg(rng, *shape) for n in keys})
 
     @pytest.mark.parametrize("keys", [
         {2: np.array([[0.6, 0.8j], [0.8, -0.6j]])},        # U z^2, U unitary
@@ -186,31 +209,55 @@ class TestDiskSupNormBound:
         dict(enumerate(cg(np.random.default_rng(5), 65, 2, 2))),
     ], ids=["unitary", "diag", "keys_0_4000", "degree_64"])
     def test_flat_sparse_and_many_keys(self, keys):
-        # the flat norms of the first two, and the large Lipschitz constant
-        # of the last, send every cell to pass 2
-        assert self._matches_reference(keys)
+        # the first two have norm 1 on the whole circle; keys >= 4096 are
+        # accepted within the work budget
+        self._check(keys)
 
     @pytest.mark.parametrize("phase", [0.0, 0.1234, 2 * np.pi * 3.5 / 4096])
     def test_sharply_peaked(self, phase):
-        # a Fejer-like bump of height 1 at angle `phase` (between two grid
-        # points for the last one), beside a constant 0.5 block
-        assert self._matches_reference(
-            {n: np.diag([np.exp(-1j * n * phase) / 12, 0.5 * (n == 0)])
-             for n in range(12)})
+        # a Dirichlet-like bump of height 1 at angle `phase`, beside a
+        # constant 0.5 block: the sup norm is exactly 1
+        self._check({n: np.diag([np.exp(-1j * n * phase) / 12, 0.5 * (n == 0)])
+                     for n in range(12)}, sup=1.0)
 
-    @pytest.mark.parametrize("key", [-1, 2.5, "1", 4096])
+    @pytest.mark.parametrize("degree", [1, 2, 3, 5, 12, 64, 100, 512])
+    def test_fejer_peak_between_grid_points(self, degree):
+        # nonnegative weights summing to 1, peaked midway between two of
+        # the certificate's own grid points: the sup norm is exactly 1 there,
+        # and the grid misses it by the most
+        N, _ = certificate_grid({degree: None})
+        phase = 2 * np.pi * 7.5 / N
+        weights = 1.0 - np.arange(degree + 1) / (degree + 1)
+        weights /= weights.sum()
+        self._check({n: [[w * np.exp(-1j * n * phase)]]
+                     for n, w in enumerate(weights)}, sup=1.0)
+
+    def test_constant_is_exact_up_to_rounding(self):
+        C = cg(np.random.default_rng(6), 3, 2)
+        norm = np.linalg.norm(C, 2)
+        assert norm <= oracle.disk_sup_norm_bound({0: C}) <= norm * (1 + 1e-14)
+
+    @pytest.mark.parametrize("key", [-1, 2.5, "1"])
     def test_non_taylor_keys_rejected(self, key):
-        # a negative key would make the Lipschitz term negative and the
-        # "bound" fall below the true sup norm 1
+        # a negative key is a Laurent term, outside the certificate
         with pytest.raises(ArgumentError):
             oracle.disk_sup_norm_bound({0: [[0.5]], key: [[1.0]]})
 
-    def test_grid_not_above_degree_rejected(self):
-        coeffs = {n: np.eye(2) for n in range(4)}
-        for grid in (0, 2, 3):
-            with pytest.raises(ArgumentError):
-                oracle.disk_sup_norm_bound(coeffs, grid)
-        assert oracle.disk_sup_norm_bound(coeffs, 4) >= 4.0
+    def test_over_budget_raises_before_allocating(self, monkeypatch):
+        # degree 4000 at 2 x 2 needs (4 + 4) * 294912 grid entries; the
+        # table alone would take 19 MB
+        monkeypatch.setenv("PICKLAB_BUDGET", "1000000")
+        coeffs = {0: np.eye(2), 4000: np.eye(2)}
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError):
+                oracle.disk_sup_norm_bound(coeffs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        monkeypatch.setenv("PICKLAB_BUDGET", str(8 * 294912))
+        assert oracle.disk_sup_norm_bound(coeffs) >= 2.0
 
     def test_coefficients_of_different_shapes_rejected(self):
         with pytest.raises(ShapeError):
@@ -253,6 +300,39 @@ class TestTensorEvaluationsMatchKron:
         for sample in (s, gap):
             assert np.array_equal(oracle.eval_quiver_tensor(sample, pt, zd),
                                   kron_eval_quiver_tensor(sample, pt, zd))
+
+
+def _round_trip_samples():
+    G, _, _ = qv.two_vertex_example()
+    return {
+        "disk.poly": oracle.sample_contractive_poly(2, 3, 4, "disk", seed=30),
+        "disk.blaschke": oracle.sample_blaschke(3, seed=31),
+        "ball.poly": oracle.sample_contractive_poly(2, 2, 2, "ball", seed=32, d=2),
+        "quiver.poly": oracle.sample_contractive_poly(
+            1, 1, 3, "quiver", seed=33, quiver=G,
+            in_dims=Grading(G, {"a": 2, "b": 1}),
+            out_dims=Grading(G, {"a": 1, "b": 2})),
+    }
+
+
+class TestSerializeRoundTrip:
+    """sample_to_json, JSON text and sample_from_json give back the sample
+    bit for bit, for every sample kind the CLI emits."""
+
+    @pytest.mark.parametrize("kind", ["disk.poly", "disk.blaschke", "ball.poly",
+                                      "quiver.poly"])
+    def test_round_trip_is_bitwise(self, kind):
+        s = _round_trip_samples()[kind]
+        back = serialize.sample_from_json(
+            json.loads(json.dumps(serialize.sample_to_json(s))))
+        assert back.setting == s.setting
+        for field in ("norm_bound", "scale", "tail_bound"):
+            assert np.float64(getattr(back, field)).tobytes() == \
+                np.float64(getattr(s, field)).tobytes()
+        assert back.coefficients.keys() == s.coefficients.keys()
+        for key, C in s.coefficients.items():
+            assert back.coefficients[key].dtype == np.complex128
+            assert back.coefficients[key].tobytes() == np.asarray(C).tobytes()
 
 
 class TestDeterminism:

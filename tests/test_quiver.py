@@ -321,8 +321,9 @@ class TestPickQltrd:
     def test_tail_bound_certifies_adjoint_side_sum(self):
         # the letters placed(Z)_a* have row norm ||[Z_alpha; Z_beta]|| > 1 while
         # the point's row norms stay below 1; the tail must still bound the
-        # truncation, which on the scalar data is exactly dim Z times the
-        # geometric tail of ||M|| (the plan's trace-duality factor)
+        # truncation.  Its factor sqrt(dim Z) is the trace-duality one: the
+        # level map contracts blocks by r_i r_j in trace norm, and a dim
+        # Z-square block has ||.||_1 <= sqrt(dim Z) ||.||_F
         G, _, _ = qv.two_vertex_example()
         rng = np.random.default_rng(16)
         cases = [(Grading(G, {"a": 1, "b": 1}),
